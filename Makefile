@@ -2,16 +2,18 @@
 
 GO ?= go
 
-# Benchmark artifact paths, overridable so CI or a comparison run can write
-# elsewhere without clobbering the committed baselines:
-#   make bench-kernel BENCH_KERNEL_OUT=/tmp/kern.json
-BENCH_WIRE_OUT ?= BENCH_PR2.json
-BENCH_KERNEL_OUT ?= BENCH_PR4.json
-BENCH_KERNEL_BASE ?= BENCH_PR4.json
-BENCH_QUANT_OUT ?= BENCH_PR7.json
-BENCH_TELEM_OUT ?= BENCH_PR10.json
+# Benchmark artifact paths. The defaults land in the git-ignored
+# .bench_build/, so `make check` or a local sweep never rewrites a committed
+# BENCH_PR*.json baseline; writing a new artifact is an explicit override:
+#   make bench-kernel BENCH_KERNEL_OUT=BENCH_PR12.json
+BENCH_DIR ?= .bench_build
+BENCH_WIRE_OUT ?= $(BENCH_DIR)/bench_wire.json
+BENCH_KERNEL_OUT ?= $(BENCH_DIR)/bench_kernel.json
+BENCH_KERNEL_BASE ?= BENCH_PR9.json
+BENCH_QUANT_OUT ?= $(BENCH_DIR)/bench_quant.json
+BENCH_TELEM_OUT ?= $(BENCH_DIR)/bench_telem.json
 
-.PHONY: all build vet test race race-hot race-quant chaos bench bench-json bench-kernel bench-kernel-smoke bench-compare bench-quant bench-quant-smoke bench-telem bench-telem-smoke serve-smoke metrics-smoke cross check
+.PHONY: all build vet test race race-hot race-quant chaos bench bench-build bench-json bench-kernel bench-kernel-smoke bench-compare bench-quant bench-quant-smoke bench-telem bench-telem-smoke serve-smoke metrics-smoke cross check
 
 all: check
 
@@ -54,16 +56,19 @@ bench:
 # Full wire-layer benchmark sweep (codec MB/s, pipeline tasks/sec across
 # overlap settings), written as machine-readable JSON.
 bench-json:
+	@mkdir -p $(dir $(BENCH_WIRE_OUT))
 	$(GO) run ./cmd/picobench -benchjson $(BENCH_WIRE_OUT)
 
 # Full compute-engine sweep (per-layer-kind kernels + whole-model forward
 # passes, reference vs cache-blocked), written as machine-readable JSON.
 bench-kernel:
+	@mkdir -p $(dir $(BENCH_KERNEL_OUT))
 	$(GO) run ./cmd/picobench -kernjson $(BENCH_KERNEL_OUT)
 
 # Full int8-vs-float32 sweep (per-kind kernels, whole-model forwards with
 # top-1 agreement, stage-boundary payload sizes), written as JSON.
 bench-quant:
+	@mkdir -p $(dir $(BENCH_QUANT_OUT))
 	$(GO) run ./cmd/picobench -quantjson $(BENCH_QUANT_OUT)
 
 # One-iteration pass over the quant sweep: catches kernel dispatch and
@@ -87,6 +92,7 @@ serve-smoke:
 # Full telemetry-overhead guard (closed-loop throughput bare vs
 # instrumented, plus record/snapshot micro-costs), written as JSON.
 bench-telem:
+	@mkdir -p $(dir $(BENCH_TELEM_OUT))
 	$(GO) run ./cmd/picobench -telemjson $(BENCH_TELEM_OUT)
 
 # One-iteration pass over the instrumented-vs-bare pipeline benchmark:
@@ -109,10 +115,18 @@ cross:
 	GOOS=linux GOARCH=arm64 $(GO) vet ./...
 	GOOS=linux GOARCH=riscv64 $(GO) build ./...
 
+# The serving benchmark (perfbench/) is a nested module with
+# `replace pico => ../`, so the root `go build ./...` skips it: vet it and
+# run its self-checks against the APIs it compiles against.
+bench-build:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test .
+
 # Re-run the kernel sweep and fail if any recorded kernel benchmark
-# regressed >10% against the committed BENCH_PR4.json baseline. Kept out of
+# regressed >10% against the committed BENCH_PR9.json baseline (the newest
+# float-kernel sweep, with the SIMD tiles). Kept out of
 # `check`: wall-clock comparisons are too noisy for an unconditional gate.
 bench-compare:
 	$(GO) run ./cmd/picobench -kerncompare $(BENCH_KERNEL_BASE)
 
-check: build vet cross test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke bench-json serve-smoke metrics-smoke
+check: build vet bench-build cross test race race-quant chaos bench bench-kernel-smoke bench-quant-smoke bench-telem-smoke bench-json serve-smoke metrics-smoke

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"fmt"
-
 	"sync"
 	"time"
 
@@ -109,6 +108,9 @@ type call struct {
 	wc *workerClient
 	id uint64
 	ch chan *wire.Message
+	// dtype is the wire dtype of an exec request's tile; the result must
+	// come back in the same dtype.
+	dtype int
 }
 
 // register allocates a request id and its response slot.
@@ -261,16 +263,18 @@ func (wc *workerClient) loadModelQuant(spec wire.ModelSpec, seed int64, quant bo
 }
 
 // startExec serializes and sends one tile request without waiting for the
-// result; the returned call resolves to the computed strip. The tile is
-// fully written to the wire before startExec returns, so the caller may
-// recycle it immediately.
-func (wc *workerClient) startExec(hdr wire.ExecHeader, tile tensor.Tensor) (*call, error) {
+// result; the returned call resolves to the computed tile. The header's
+// extent, dtype and scale come from the tile. The tile is fully written to
+// the wire before startExec returns, so the caller may recycle it
+// immediately.
+func (wc *workerClient) startExec(hdr wire.ExecHeader, t tile) (*call, error) {
 	id, c, err := wc.register()
 	if err != nil {
 		return nil, fmt.Errorf("runtime: exec to %s: %w", wc.id, err)
 	}
-	hdr.TileC, hdr.TileH, hdr.TileW = tile.C, tile.H, tile.W
-	payload, pooled := wire.TensorBytes(tile)
+	m, payload, pooled := encodeTile(t)
+	hdr.TileC, hdr.TileH, hdr.TileW, hdr.DType, hdr.Scale = m.c, m.h, m.w, m.dtype, m.scale
+	c.dtype = m.dtype
 	err = wc.conn.SendExec(id, &hdr, payload)
 	if pooled {
 		wire.PutBuffer(payload)
@@ -286,120 +290,50 @@ func (wc *workerClient) startExec(hdr wire.ExecHeader, tile tensor.Tensor) (*cal
 	return c, nil
 }
 
-// waitExec resolves an exec call to its output strip and the worker's
-// reported compute seconds. transient reports whether the failure is
-// transport-attributable (timeout, lost connection) and therefore worth
-// retrying on a healthy replica; worker-reported errors are deterministic
-// and come back with transient == false.
-func (c *call) waitExec(d time.Duration) (out tensor.Tensor, seconds float64, transient bool, err error) {
+// waitExec resolves an exec call to its output tile, in the request's
+// dtype, and the worker's reported compute seconds. transient reports
+// whether the failure is transport-attributable (timeout, lost connection)
+// and therefore worth retrying on a healthy replica; worker-reported errors
+// are deterministic and come back with transient == false.
+func (c *call) waitExec(d time.Duration) (out tile, seconds float64, transient bool, err error) {
 	msg, err := c.waitTimeout(d)
 	if err != nil {
-		return tensor.Tensor{}, 0, true, fmt.Errorf("runtime: exec result from %s: %w", c.wc.id, err)
+		return nil, 0, true, fmt.Errorf("runtime: exec result from %s: %w", c.wc.id, err)
 	}
+	defer wire.PutBuffer(msg.Payload) // decodeTile copies out of it
 	switch msg.Type {
 	case wire.MsgExecResult:
 		var rh wire.ExecResultHeader
 		if err := msg.DecodeExecResult(&rh); err != nil {
-			wire.PutBuffer(msg.Payload)
-			return tensor.Tensor{}, 0, false, err
+			return nil, 0, false, err
 		}
-		out, err := wire.DecodeTensor(rh.C, rh.H, rh.W, msg.Payload)
-		wire.PutBuffer(msg.Payload)
+		if rh.DType != c.dtype {
+			return nil, 0, false, fmt.Errorf("runtime: %s answered a dtype %d exec with dtype %d", c.wc.id, c.dtype, rh.DType)
+		}
+		out, err := decodeTile(tileMeta{rh.C, rh.H, rh.W, rh.DType, rh.Scale}, msg.Payload)
 		if err != nil {
-			return tensor.Tensor{}, 0, false, err
+			return nil, 0, false, err
 		}
 		return out, rh.ComputeSeconds, false, nil
 	case wire.MsgError:
 		var eh wire.ErrorHeader
 		_ = msg.DecodeHeader(&eh)
-		wire.PutBuffer(msg.Payload)
-		return tensor.Tensor{}, 0, false, fmt.Errorf("runtime: %s: %s", c.wc.id, eh.Message)
+		return nil, 0, false, fmt.Errorf("runtime: %s: %s", c.wc.id, eh.Message)
 	default:
-		wire.PutBuffer(msg.Payload)
-		return tensor.Tensor{}, 0, false, fmt.Errorf("runtime: %s: unexpected %v", c.wc.id, msg.Type)
+		return nil, 0, false, fmt.Errorf("runtime: %s: unexpected %v", c.wc.id, msg.Type)
 	}
 }
 
-// startExecQ is startExec for an int8 tile: the header carries the dtype
-// and the tile's quantization scale, and the payload is the tile's raw int8
-// bytes — a quarter of the float32 size for the same extent.
-func (wc *workerClient) startExecQ(hdr wire.ExecHeader, tile tensor.QTensor) (*call, error) {
-	id, c, err := wc.register()
-	if err != nil {
-		return nil, fmt.Errorf("runtime: exec to %s: %w", wc.id, err)
-	}
-	hdr.TileC, hdr.TileH, hdr.TileW = tile.C, tile.H, tile.W
-	hdr.DType = wire.DTypeInt8
-	hdr.Scale = tile.Scale
-	payload, pooled := wire.QTensorBytes(tile)
-	err = wc.conn.SendExec(id, &hdr, payload)
-	if pooled {
-		wire.PutBuffer(payload)
-	}
-	if err != nil {
-		wc.cancel(id)
-		wc.fail(fmt.Errorf("runtime: exec send to %s: %w", wc.id, err))
-		return nil, fmt.Errorf("runtime: exec to %s: %w", wc.id, err)
-	}
-	return c, nil
-}
-
-// waitExecQ resolves an exec call to its int8 output strip; the strip's
-// scale comes from the result header. Same transient classification as
-// waitExec.
-func (c *call) waitExecQ(d time.Duration) (out tensor.QTensor, seconds float64, transient bool, err error) {
-	msg, err := c.waitTimeout(d)
-	if err != nil {
-		return tensor.QTensor{}, 0, true, fmt.Errorf("runtime: exec result from %s: %w", c.wc.id, err)
-	}
-	switch msg.Type {
-	case wire.MsgExecResult:
-		var rh wire.ExecResultHeader
-		if err := msg.DecodeExecResult(&rh); err != nil {
-			wire.PutBuffer(msg.Payload)
-			return tensor.QTensor{}, 0, false, err
-		}
-		if rh.DType != wire.DTypeInt8 {
-			wire.PutBuffer(msg.Payload)
-			return tensor.QTensor{}, 0, false, fmt.Errorf("runtime: %s answered a quantized exec with dtype %d", c.wc.id, rh.DType)
-		}
-		out, err := wire.DecodeQTensor(rh.C, rh.H, rh.W, rh.Scale, msg.Payload)
-		wire.PutBuffer(msg.Payload)
-		if err != nil {
-			return tensor.QTensor{}, 0, false, err
-		}
-		return out, rh.ComputeSeconds, false, nil
-	case wire.MsgError:
-		var eh wire.ErrorHeader
-		_ = msg.DecodeHeader(&eh)
-		wire.PutBuffer(msg.Payload)
-		return tensor.QTensor{}, 0, false, fmt.Errorf("runtime: %s: %s", c.wc.id, eh.Message)
-	default:
-		wire.PutBuffer(msg.Payload)
-		return tensor.QTensor{}, 0, false, fmt.Errorf("runtime: %s: unexpected %v", c.wc.id, msg.Type)
-	}
-}
-
-// exec is the synchronous request/response form of startExec + waitExec,
+// exec is the synchronous float32 round trip of startExec + waitExec,
 // without a deadline (used by tests and profiling probes).
-func (wc *workerClient) exec(hdr wire.ExecHeader, tile tensor.Tensor) (tensor.Tensor, float64, error) {
-	c, err := wc.startExec(hdr, tile)
+func (wc *workerClient) exec(hdr wire.ExecHeader, in tensor.Tensor) (tensor.Tensor, float64, error) {
+	c, err := wc.startExec(hdr, in)
 	if err != nil {
 		return tensor.Tensor{}, 0, err
 	}
 	out, seconds, _, err := c.waitExec(0)
-	return out, seconds, err
-}
-
-// execQ is the synchronous request/response form of startExecQ + waitExecQ,
-// without a deadline (used by the grid executor and tests).
-func (wc *workerClient) execQ(hdr wire.ExecHeader, tile tensor.QTensor) (tensor.QTensor, float64, error) {
-	c, err := wc.startExecQ(hdr, tile)
-	if err != nil {
-		return tensor.QTensor{}, 0, err
-	}
-	out, seconds, _, err := c.waitExecQ(0)
-	return out, seconds, err
+	f, _ := out.(tensor.Tensor)
+	return f, seconds, err
 }
 
 // stats fetches the worker's cumulative per-layer-kind compute seconds.

@@ -105,57 +105,9 @@ func (ge *GridExecutor) validateTiles() error {
 // Infer executes the segment on one input feature map (the full map at
 // boundary from) and returns the stitched output.
 func (ge *GridExecutor) Infer(taskID int64, input tensor.Tensor) (tensor.Tensor, error) {
-	if ge.quant {
-		return tensor.Tensor{}, fmt.Errorf("runtime: quantized grid executor serves InferQ, not Infer")
-	}
-	type result struct {
-		t   tensor.Tensor
-		err error
-	}
-	results := make([]result, len(ge.tiles))
-	var wg sync.WaitGroup
-	for k, tile := range ge.tiles {
-		if tile.Empty() {
-			results[k].err = fmt.Errorf("runtime: empty tile %d", k)
-			continue
-		}
-		need := ge.calc.SegmentRects(ge.from, ge.to, tile)[0]
-		sub := input.SliceRect(need)
-		wg.Add(1)
-		go func(k int, wc *workerClient, sub tensor.Tensor, need, tile partition.Rect) {
-			defer wg.Done()
-			out, _, err := wc.exec(wire.ExecHeader{
-				TaskID: taskID,
-				From:   ge.from, To: ge.to,
-				OutLo: tile.Rows.Lo, OutHi: tile.Rows.Hi,
-				InLo:     need.Rows.Lo,
-				OutColLo: tile.Cols.Lo, OutColHi: tile.Cols.Hi,
-				InColLo:   need.Cols.Lo,
-				ModelName: ge.model.Name,
-				Seed:      ge.seed,
-			}, sub)
-			tensor.Recycle(sub) // fully serialized into the request
-			results[k] = result{t: out, err: err}
-		}(k, ge.clients[k], sub, need, tile)
-	}
-	wg.Wait()
-	outs := make([]tensor.Tensor, 0, len(ge.tiles))
-	rects := make([]partition.Rect, 0, len(ge.tiles))
-	for k := range results {
-		if results[k].err != nil {
-			return tensor.Tensor{}, results[k].err
-		}
-		outs = append(outs, results[k].t)
-		rects = append(rects, ge.tiles[k])
-	}
-	outShape := ge.model.OutShape(ge.to - 1)
-	stitched, err := tensor.StitchGrid(outs, rects, outShape.H, outShape.W)
-	if err == nil {
-		for _, o := range outs {
-			tensor.Recycle(o) // copied into the stitched map
-		}
-	}
-	return stitched, err
+	out, err := ge.infer(taskID, input)
+	f, _ := out.(tensor.Tensor)
+	return f, err
 }
 
 // InferQ executes the segment in int8 on one quantized input map (the full
@@ -163,50 +115,62 @@ func (ge *GridExecutor) Infer(taskID int64, input tensor.Tensor) (tensor.Tensor,
 // stitched int8 output — byte-identical to a local whole-map RunQ of the
 // same segment.
 func (ge *GridExecutor) InferQ(taskID int64, input tensor.QTensor) (tensor.QTensor, error) {
-	if !ge.quant {
-		return tensor.QTensor{}, fmt.Errorf("runtime: grid executor was built without quantization; use NewGridExecutorQuant")
+	out, err := ge.infer(taskID, input)
+	q, _ := out.(tensor.QTensor)
+	return q, err
+}
+
+// infer slices the input into every tile's input region, executes the
+// tiles concurrently on their workers and stitches the output grid. The
+// input's dtype must match the executor's: a quantized grid's workers run
+// the int8 executor, a float grid's the float32 one.
+func (ge *GridExecutor) infer(taskID int64, input tile) (tile, error) {
+	if _, quant := input.(tensor.QTensor); quant != ge.quant {
+		return nil, fmt.Errorf("runtime: grid executor built with quant=%v cannot run a %T input", ge.quant, input)
 	}
 	type result struct {
-		t   tensor.QTensor
+		t   tile
 		err error
 	}
 	results := make([]result, len(ge.tiles))
 	var wg sync.WaitGroup
-	for k, tile := range ge.tiles {
-		need := ge.calc.SegmentRects(ge.from, ge.to, tile)[0]
-		sub := input.SliceRect(need)
+	for k, rect := range ge.tiles {
+		need := ge.calc.SegmentRects(ge.from, ge.to, rect)[0]
+		sub := sliceTile(input, need)
 		wg.Add(1)
-		go func(k int, wc *workerClient, sub tensor.QTensor, need, tile partition.Rect) {
+		go func(k int, wc *workerClient, sub tile, need, rect partition.Rect) {
 			defer wg.Done()
-			out, _, err := wc.execQ(wire.ExecHeader{
+			c, err := wc.startExec(wire.ExecHeader{
 				TaskID: taskID,
 				From:   ge.from, To: ge.to,
-				OutLo: tile.Rows.Lo, OutHi: tile.Rows.Hi,
+				OutLo: rect.Rows.Lo, OutHi: rect.Rows.Hi,
 				InLo:     need.Rows.Lo,
-				OutColLo: tile.Cols.Lo, OutColHi: tile.Cols.Hi,
+				OutColLo: rect.Cols.Lo, OutColHi: rect.Cols.Hi,
 				InColLo:   need.Cols.Lo,
 				ModelName: ge.model.Name,
 				Seed:      ge.seed,
 			}, sub)
-			tensor.RecycleQ(sub) // fully serialized into the request
-			results[k] = result{t: out, err: err}
-		}(k, ge.clients[k], sub, need, tile)
+			recycleTile(sub) // fully serialized into the request
+			if err != nil {
+				results[k].err = err
+				return
+			}
+			results[k].t, _, _, results[k].err = c.waitExec(0)
+		}(k, ge.clients[k], sub, need, rect)
 	}
 	wg.Wait()
-	outs := make([]tensor.QTensor, 0, len(ge.tiles))
-	rects := make([]partition.Rect, 0, len(ge.tiles))
+	outs := make([]tile, len(ge.tiles))
 	for k := range results {
 		if results[k].err != nil {
-			return tensor.QTensor{}, results[k].err
+			return nil, results[k].err
 		}
-		outs = append(outs, results[k].t)
-		rects = append(rects, ge.tiles[k])
+		outs[k] = results[k].t
 	}
 	outShape := ge.model.OutShape(ge.to - 1)
-	stitched, err := tensor.StitchGridQ(outs, rects, outShape.H, outShape.W)
+	stitched, err := stitchTiles(outs, ge.tiles, outShape.H, outShape.W)
 	if err == nil {
 		for _, o := range outs {
-			tensor.RecycleQ(o) // copied into the stitched map
+			recycleTile(o) // copied into the stitched map
 		}
 	}
 	return stitched, err

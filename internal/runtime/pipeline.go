@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pico/internal/core"
+	"pico/internal/nn"
 	"pico/internal/partition"
 	"pico/internal/telemetry"
 	"pico/internal/tensor"
@@ -37,14 +38,13 @@ type TaskResult struct {
 	Spans []StageSpan
 }
 
-// flight is a task moving through the stage drivers. In float mode the
-// feature map travels in t; in quantized mode it travels in q (the input is
-// quantized once at Submit and stays int8 across every stage boundary, so
-// each hop moves a quarter of the float bytes).
+// flight is a task moving through the stage drivers. Its feature map m is a
+// tensor.Tensor in float mode and a tensor.QTensor in quantized mode (the
+// input is quantized once at Submit and stays int8 across every stage
+// boundary, so each hop moves a quarter of the float bytes).
 type flight struct {
 	id int64
-	t  tensor.Tensor
-	q  tensor.QTensor
+	m  tile
 	// owned marks the map as pipeline-allocated (a stitched or quantized
 	// tensor), safe to recycle when the next stage replaces it. The user's
 	// submitted input is never recycled.
@@ -81,7 +81,8 @@ type stageDriver struct {
 		name string
 		seed int64
 	}
-	outH int
+	// in and out are the stage's full input and output map shapes.
+	in, out nn.Shape
 	// window caps how many tasks may be dispatched but not yet stitched.
 	window int
 	// timeout bounds each tile round trip on this stage.
@@ -147,57 +148,20 @@ func (sd *stageDriver) run(in <-chan *flight, out chan<- *flight, wg *sync.WaitG
 	dispatchWG.Wait()
 }
 
-// execHeader builds the exec request for one strip of this stage.
-func (sd *stageDriver) execHeader(f *flight, part partition.Range, inLo int) wire.ExecHeader {
-	return wire.ExecHeader{
+// sendStrip slices one full-width input tile for a strip and sends it in
+// the flight's dtype. The tile is fully serialized before return.
+func (sd *stageDriver) sendStrip(wc *workerClient, f *flight, part, inR partition.Range) (*call, error) {
+	sub := sliceTile(f.m, partition.Rect{Rows: inR, Cols: partition.Full(sd.in.W)})
+	c, err := wc.startExec(wire.ExecHeader{
 		TaskID: f.id,
 		From:   sd.stage.From, To: sd.stage.To,
 		OutLo: part.Lo, OutHi: part.Hi,
-		InLo:      inLo,
+		InLo:      inR.Lo,
 		ModelName: sd.ref.name,
 		Seed:      sd.ref.seed,
-	}
-}
-
-// stripData is one gathered strip in the pipeline's precision: f in float
-// mode, q in quantized mode.
-type stripData struct {
-	f tensor.Tensor
-	q tensor.QTensor
-}
-
-// sendStrip slices one input tile for a strip and sends it in the
-// pipeline's precision. The tile is fully serialized before return.
-func (sd *stageDriver) sendStrip(wc *workerClient, f *flight, part partition.Range, inLo, inHi int) (*call, error) {
-	hdr := sd.execHeader(f, part, inLo)
-	if sd.p.quant {
-		tile := f.q.SliceRows(inLo, inHi)
-		c, err := wc.startExecQ(hdr, tile)
-		tensor.RecycleQ(tile)
-		return c, err
-	}
-	tile := f.t.SliceRows(inLo, inHi)
-	c, err := wc.startExec(hdr, tile)
-	tensor.Recycle(tile)
+	}, sub)
+	recycleTile(sub)
 	return c, err
-}
-
-// waitStrip resolves one strip call in the pipeline's precision.
-func (sd *stageDriver) waitStrip(c *call) (stripData, float64, bool, error) {
-	if sd.p.quant {
-		q, comp, transient, err := c.waitExecQ(sd.timeout)
-		return stripData{q: q}, comp, transient, err
-	}
-	t, comp, transient, err := c.waitExec(sd.timeout)
-	return stripData{f: t}, comp, transient, err
-}
-
-func (sd *stageDriver) recycleStrip(s stripData) {
-	if sd.p.quant {
-		tensor.RecycleQ(s.q)
-	} else {
-		tensor.Recycle(s.f)
-	}
 }
 
 // dispatch splits a flight's feature map into the stage's strips and sends
@@ -232,7 +196,7 @@ func (sd *stageDriver) dispatch(f *flight) *flightWork {
 			continue
 		}
 		inR := sd.calc.InputRange(sd.stage.From, sd.stage.To, part)
-		c, err := sd.sendStrip(wc, f, part, inR.Lo, inR.Hi)
+		c, err := sd.sendStrip(wc, f, part, inR)
 		if err != nil {
 			sd.noteFault(k, wc, FaultConnLost, err)
 			fw.retry = append(fw.retry, k)
@@ -260,13 +224,13 @@ func (sd *stageDriver) gather(fw *flightWork) {
 			sd.stageProd.RecordAt(end, end.Sub(fw.start).Seconds())
 		}
 	}()
-	outs := make([]stripData, 0, len(fw.calls))
-	los := make([]int, 0, len(fw.calls))
+	outs := make([]tile, 0, len(fw.calls))
+	rects := make([]partition.Rect, 0, len(fw.calls))
 	for k, c := range fw.calls {
 		if c == nil {
 			continue
 		}
-		strip, comp, transient, err := sd.waitStrip(c)
+		strip, comp, transient, err := c.waitExec(sd.timeout)
 		if err != nil {
 			// Keep draining the remaining calls so every in-flight
 			// response is accounted for before the flight fails.
@@ -280,7 +244,7 @@ func (sd *stageDriver) gather(fw *flightWork) {
 		}
 		sd.record(sd.stage.DeviceIdx[k], comp)
 		outs = append(outs, strip)
-		los = append(los, fw.parts[k].Lo)
+		rects = append(rects, sd.stripRect(fw.parts[k]))
 	}
 	// Retry pass: the stage input map is still alive here, so failed strips
 	// can be re-sliced and executed on surviving replicas.
@@ -295,59 +259,26 @@ func (sd *stageDriver) gather(fw *flightWork) {
 		}
 		sd.record(di, comp)
 		outs = append(outs, strip)
-		los = append(los, fw.parts[k].Lo)
+		rects = append(rects, sd.stripRect(fw.parts[k]))
 	}
-	if f.err != nil {
-		for _, o := range outs {
-			sd.recycleStrip(o)
+	if f.err == nil {
+		if stitched, err := stitchTiles(outs, rects, sd.out.H, sd.out.W); err != nil {
+			f.err = fmt.Errorf("runtime: stage [%d,%d) stitch: %w", sd.stage.From, sd.stage.To, err)
+		} else {
+			if f.owned {
+				recycleTile(f.m)
+			}
+			f.m, f.owned = stitched, true
 		}
-		return
-	}
-	if err := sd.stitchInto(f, outs, los); err != nil {
-		f.err = fmt.Errorf("runtime: stage [%d,%d) stitch: %w", sd.stage.From, sd.stage.To, err)
-		for _, o := range outs {
-			sd.recycleStrip(o)
-		}
-		return
 	}
 	for _, o := range outs {
-		sd.recycleStrip(o) // copied into the stitched map
+		recycleTile(o) // copied into the stitched map, or the flight failed
 	}
 }
 
-// stitchInto assembles gathered strips into the stage's output map and
-// installs it on the flight, recycling the flight's previous owned map.
-func (sd *stageDriver) stitchInto(f *flight, outs []stripData, los []int) error {
-	if sd.p.quant {
-		strips := make([]tensor.QTensor, len(outs))
-		for i, o := range outs {
-			strips[i] = o.q
-		}
-		stitched, err := tensor.StitchRowsQ(strips, los, sd.outH)
-		if err != nil {
-			return err
-		}
-		if f.owned {
-			tensor.RecycleQ(f.q)
-		}
-		f.q = stitched
-		f.owned = true
-		return nil
-	}
-	strips := make([]tensor.Tensor, len(outs))
-	for i, o := range outs {
-		strips[i] = o.f
-	}
-	stitched, err := tensor.StitchRows(strips, los, sd.outH)
-	if err != nil {
-		return err
-	}
-	if f.owned {
-		tensor.Recycle(f.t)
-	}
-	f.t = stitched
-	f.owned = true
-	return nil
+// stripRect is the output region of one strip: its rows at full width.
+func (sd *stageDriver) stripRect(part partition.Range) partition.Rect {
+	return partition.Rect{Rows: part, Cols: partition.Full(sd.out.W)}
 }
 
 // faultKind classifies a transient exec failure for the event log.
@@ -392,7 +323,7 @@ func (sd *stageDriver) pickLive() (int, *workerClient) {
 // retryPart re-executes one strip on healthy replicas, waiting out a redial
 // between attempts, until the retry budget is spent. It returns the strip,
 // its compute seconds and the executing device index.
-func (sd *stageDriver) retryPart(f *flight, part partition.Range) (stripData, float64, int, error) {
+func (sd *stageDriver) retryPart(f *flight, part partition.Range) (tile, float64, int, error) {
 	inR := sd.calc.InputRange(sd.stage.From, sd.stage.To, part)
 	backoff := sd.p.redialBackoff
 	lastErr := error(nil)
@@ -411,13 +342,13 @@ func (sd *stageDriver) retryPart(f *flight, part partition.Range) (stripData, fl
 			lastErr = fmt.Errorf("no live replica in stage [%d,%d)", sd.stage.From, sd.stage.To)
 			continue
 		}
-		c, err := sd.sendStrip(wc, f, part, inR.Lo, inR.Hi)
+		c, err := sd.sendStrip(wc, f, part, inR)
 		if err != nil {
 			sd.noteFault(k, wc, FaultConnLost, err)
 			lastErr = err
 			continue
 		}
-		strip, comp, transient, err := sd.waitStrip(c)
+		strip, comp, transient, err := c.waitExec(sd.timeout)
 		if err == nil {
 			sd.p.faults.add(FaultEvent{
 				Stage: sd.index, Device: sd.slots[k].deviceIdx, Worker: sd.slots[k].workerID,
@@ -428,12 +359,12 @@ func (sd *stageDriver) retryPart(f *flight, part partition.Range) (stripData, fl
 		if !transient {
 			// Worker-reported (deterministic) error: retrying elsewhere
 			// would fail the same way.
-			return stripData{}, 0, 0, err
+			return nil, 0, 0, err
 		}
 		sd.noteFault(k, wc, faultKind(err), err)
 		lastErr = err
 	}
-	return stripData{}, 0, 0, &FaultError{
+	return nil, 0, 0, &FaultError{
 		Device: -1, Kind: FaultDown,
 		Err: fmt.Errorf("task %d rows %v: retry budget exhausted: %w", f.id, part, lastErr),
 	}
@@ -814,7 +745,8 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			stage:   st,
 			slots:   make([]*workerSlot, len(st.DeviceIdx)),
 			calc:    calc,
-			outH:    plan.Model.OutShape(st.To - 1).H,
+			in:      plan.Model.InShape(st.From),
+			out:     plan.Model.OutShape(st.To - 1),
 			window:  opts.StageWindow,
 			timeout: timeout,
 			p:       p,
@@ -883,14 +815,15 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 		defer p.wg.Done()
 		defer close(p.results)
 		for f := range last {
-			if p.quant {
+			out, _ := f.m.(tensor.Tensor)
+			if q, quant := f.m.(tensor.QTensor); quant {
 				if f.err == nil {
 					// Hand the caller float output regardless of transport
 					// precision; the int8 map served its last hop.
-					f.t = f.q.Dequantize()
+					out = q.Dequantize()
 				}
 				if f.owned {
-					tensor.RecycleQ(f.q)
+					tensor.RecycleQ(q)
 				}
 			}
 			done := time.Now()
@@ -899,7 +832,7 @@ func NewPipeline(plan *core.Plan, addrs map[int]string, opts PipelineOptions) (*
 			}
 			p.results <- TaskResult{
 				ID:        f.id,
-				Output:    f.t,
+				Output:    out,
 				Err:       f.err,
 				Submitted: f.submitted,
 				Done:      done,
@@ -940,10 +873,10 @@ func (p *Pipeline) Submit(input tensor.Tensor) (int64, error) {
 	if p.quant {
 		// Quantize once at the pipeline mouth; the input tensor itself is
 		// not retained, matching the float path's never-recycle contract.
-		f.q = tensor.QuantizeTensor(input, p.scale0)
+		f.m = tensor.QuantizeTensor(input, p.scale0)
 		f.owned = true
 	} else {
-		f.t = input
+		f.m = input
 	}
 	p.in <- f
 	return id, nil

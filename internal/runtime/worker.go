@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pico/internal/partition"
 	"pico/internal/tensor"
 	"pico/internal/wire"
 )
@@ -451,48 +450,39 @@ func (w *Worker) handleExec(conn *wire.Conn, msg *wire.Message) (err error) {
 			Message: fmt.Sprintf("model %q (seed %d, quant %v) not loaded", hdr.ModelName, hdr.Seed, quant),
 		}, nil)
 	}
-	if quant {
-		return w.handleExecQuant(conn, msg, &hdr, exec)
-	}
-	tile, err := wire.DecodeTensor(hdr.TileC, hdr.TileH, hdr.TileW, msg.Payload)
+	// One path for every partition shape and dtype: strips and grid rects
+	// share the whole-map kernels' accumulation order (and, for int8, the
+	// requantize epilogue), so results are byte-identical to a local
+	// Run/RunQ. Unknown dtypes fail here, before any compute.
+	in, err := decodeTile(tileMeta{hdr.TileC, hdr.TileH, hdr.TileW, hdr.DType, hdr.Scale}, msg.Payload)
 	if err != nil {
 		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
 	}
 	start := time.Now()
-	var out tensor.Tensor
-	var flops float64
-	if hdr.OutColHi > 0 {
-		rect := partition.Rect{
-			Rows: partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi},
-			Cols: partition.Range{Lo: hdr.OutColLo, Hi: hdr.OutColHi},
-		}
-		out, err = exec.RunSegmentRect(hdr.From, hdr.To, tile, rect)
-		flops = float64(exec.RectFLOPs(hdr.From, hdr.To, rect))
-	} else {
-		rows := partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi}
-		out, err = exec.RunSegment(hdr.From, hdr.To, tile, rows)
-		flops = float64(exec.RegionFLOPs(hdr.From, hdr.To, rows))
-	}
-	tensor.Recycle(tile)
+	out, flops, err := runTile(exec, &hdr, in)
+	recycleTile(in)
 	if err != nil {
 		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
 	}
 	elapsed := w.emulate(time.Since(start), flops)
-	// Zero-copy on little-endian hosts: the payload aliases out.Data, and
-	// SendExecResult consumes it synchronously before out is recycled.
-	payload, pooled := wire.TensorBytes(out)
+	// Zero-copy on little-endian hosts: the payload aliases the output's
+	// data, and SendExecResult consumes it synchronously before the
+	// output is recycled.
+	m, payload, pooled := encodeTile(out)
 	err = conn.SendExecResult(msg.ReqID, &wire.ExecResultHeader{
 		TaskID:         hdr.TaskID,
 		OutLo:          hdr.OutLo,
-		C:              out.C,
-		H:              out.H,
-		W:              out.W,
+		C:              m.c,
+		H:              m.h,
+		W:              m.w,
+		DType:          m.dtype,
+		Scale:          m.scale,
 		ComputeSeconds: elapsed.Seconds(),
 	}, payload)
 	if pooled {
 		wire.PutBuffer(payload)
 	}
-	tensor.Recycle(out)
+	recycleTile(out)
 	return err
 }
 
@@ -510,53 +500,4 @@ func (w *Worker) emulate(elapsed time.Duration, flops float64) time.Duration {
 		elapsed = want
 	}
 	return elapsed
-}
-
-// handleExecQuant executes one int8 tile — a row strip or, when the header
-// carries a column range, a DeepThings-style 2D grid rect. Both paths share
-// the whole-map kernels' accumulators and requantize epilogue, so results
-// are byte-identical to a local RunQ regardless of the partition shape.
-func (w *Worker) handleExecQuant(conn *wire.Conn, msg *wire.Message, hdr *wire.ExecHeader, exec *tensor.Executor) error {
-	tile, err := wire.DecodeQTensor(hdr.TileC, hdr.TileH, hdr.TileW, hdr.Scale, msg.Payload)
-	if err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
-	}
-	start := time.Now()
-	var out tensor.QTensor
-	var flops float64
-	if hdr.OutColHi > 0 {
-		rect := partition.Rect{
-			Rows: partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi},
-			Cols: partition.Range{Lo: hdr.OutColLo, Hi: hdr.OutColHi},
-		}
-		out, err = exec.RunSegmentRectQ(hdr.From, hdr.To, tile, rect)
-		flops = float64(exec.RectFLOPs(hdr.From, hdr.To, rect))
-	} else {
-		rows := partition.Range{Lo: hdr.OutLo, Hi: hdr.OutHi}
-		out, err = exec.RunSegmentQ(hdr.From, hdr.To, tile, rows)
-		flops = float64(exec.RegionFLOPs(hdr.From, hdr.To, rows))
-	}
-	tensor.RecycleQ(tile)
-	if err != nil {
-		return conn.SendRequest(wire.MsgError, msg.ReqID, wire.ErrorHeader{TaskID: hdr.TaskID, Message: err.Error()}, nil)
-	}
-	elapsed := w.emulate(time.Since(start), flops)
-	// The int8 payload aliases out.Data (consumed synchronously, like the
-	// float path) and is a quarter of the float tile's size.
-	payload, pooled := wire.QTensorBytes(out)
-	err = conn.SendExecResult(msg.ReqID, &wire.ExecResultHeader{
-		TaskID:         hdr.TaskID,
-		OutLo:          hdr.OutLo,
-		C:              out.C,
-		H:              out.H,
-		W:              out.W,
-		DType:          wire.DTypeInt8,
-		Scale:          out.Scale,
-		ComputeSeconds: elapsed.Seconds(),
-	}, payload)
-	if pooled {
-		wire.PutBuffer(payload)
-	}
-	tensor.RecycleQ(out)
-	return err
 }

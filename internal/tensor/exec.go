@@ -1,9 +1,7 @@
 package tensor
 
 import (
-	"fmt"
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,31 +51,21 @@ type Executor struct {
 	// each entry generates its weights under its own sync.Once, so two
 	// workers warming different layers proceed concurrently, and after
 	// warm-up concurrent stage workers never contend.
-	mu    sync.RWMutex
-	conv  map[string]*convEntry
-	fc    map[string]*fcEntry
-	qconv map[string]*qconvEntry
-	qfc   map[string]*qfcEntry
+	mu  sync.RWMutex
+	wts map[weightKey]*weightEntry
 }
 
-type convEntry struct {
-	once sync.Once
-	w    *convWeights
+// weightKey names one layer's weights in one precision. layer is the
+// model index, with "/path/layer" suffixes inside blocks; a layer is
+// either a conv or an fc, so the key also fixes the weight type.
+type weightKey struct {
+	layer string
+	quant bool
 }
 
-type fcEntry struct {
+type weightEntry struct {
 	once sync.Once
-	w    *fcWeights
-}
-
-type qconvEntry struct {
-	once sync.Once
-	w    *qconvWeights
-}
-
-type qfcEntry struct {
-	once sync.Once
-	w    *qfcWeights
+	w    any // *convWeights, *fcWeights, *qconvWeights or *qfcWeights
 }
 
 // kindStats accumulates kernel wall-clock seconds per layer kind. Counters
@@ -171,14 +159,11 @@ func NewExecutor(m *nn.Model, seed int64, opts ...ExecutorOption) (*Executor, er
 		return nil, err
 	}
 	e := &Executor{
-		m:     m,
-		seed:  seed,
-		calc:  partition.NewCalc(m),
-		par:   defaultParallelism(),
-		conv:  make(map[string]*convEntry),
-		fc:    make(map[string]*fcEntry),
-		qconv: make(map[string]*qconvEntry),
-		qfc:   make(map[string]*qfcEntry),
+		m:    m,
+		seed: seed,
+		calc: partition.NewCalc(m),
+		par:  defaultParallelism(),
+		wts:  make(map[weightKey]*weightEntry),
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -223,236 +208,71 @@ func (e *Executor) RectFLOPs(from, to int, out partition.Rect) int64 {
 // that copy is recycled. The caller's buffer, arena-backed or not, stays
 // live and untouched after Run returns.
 func (e *Executor) Run(in Tensor) (Tensor, error) {
-	outH := e.m.Output().H
-	need := e.calc.InputRange(0, e.m.NumLayers(), partition.Full(outH))
-	run := in
-	var trimmed Tensor
-	if in.Valid() && in.C == e.m.Input.C && in.H == e.m.Input.H && in.W == e.m.Input.W && need.Len() < in.H {
-		trimmed = in.SliceRows(need.Lo, need.Hi)
-		run = trimmed
-	}
-	out, err := e.RunSegment(0, e.m.NumLayers(), run, partition.Full(outH))
-	if trimmed.Valid() {
-		Recycle(trimmed)
+	run, trimmed := e.readRows(in)
+	out, err := e.RunSegment(0, e.m.NumLayers(), run, partition.Full(e.m.Output().H))
+	if trimmed {
+		Recycle(run)
 	}
 	return out, err
 }
 
+// readRows returns the rows of a whole-model input the model reads: in
+// itself, or (trimmed) an arena copy of its leading rows when the geometry
+// drops trailing ones.
+func (e *Executor) readRows(in Tensor) (run Tensor, trimmed bool) {
+	need := e.calc.InputRange(0, e.m.NumLayers(), partition.Full(e.m.Output().H))
+	if in.Valid() && in.C == e.m.Input.C && in.H == e.m.Input.H && in.W == e.m.Input.W && need.Len() < in.H {
+		return in.SliceRows(need.Lo, need.Hi), true
+	}
+	return in, false
+}
+
 // RunSegment executes layers [from, to) producing output rows out of the
-// segment's final layer. tile must hold exactly the input rows
-// InputRange(from, to, out) of the feature map at boundary from (for a full
-// run, the whole input). The returned tensor is arena-backed; callers done
-// with it may Recycle it to keep the hot path allocation-free.
-func (e *Executor) RunSegment(from, to int, tile Tensor, out partition.Range) (Tensor, error) {
-	if from < 0 || to > e.m.NumLayers() || from >= to {
-		return Tensor{}, fmt.Errorf("tensor: invalid segment [%d,%d)", from, to)
-	}
-	if out.Empty() {
-		return Tensor{}, fmt.Errorf("tensor: empty output range %v", out)
-	}
-	shapes := e.m.Shapes()
-	ranges := e.calc.SegmentRanges(from, to, out)
-	inShape := shapes[from]
-	if !tile.Valid() {
-		return Tensor{}, fmt.Errorf("tensor: invalid input tile")
-	}
-	if tile.C != inShape.C || tile.W != inShape.W || tile.H != ranges[0].Len() {
-		return Tensor{}, fmt.Errorf("tensor: tile %dx%dx%d does not match required region %v of %v",
-			tile.C, tile.H, tile.W, ranges[0], inShape)
-	}
-	cur := tile
-	curLo := ranges[0].Lo
-	for i := from; i < to; i++ {
-		need := ranges[i-from+1]
-		next, err := e.runLayer(i, cur, curLo, need)
-		if err != nil {
-			return Tensor{}, fmt.Errorf("tensor: layer %d (%s): %w", i, e.m.Layers[i].Name, err)
-		}
-		if i > from {
-			// cur is an intermediate this segment produced (never the
-			// caller's tile); its buffer is dead now.
-			Recycle(cur)
-		}
-		cur = next
-		curLo = need.Lo
-	}
-	return cur, nil
+// segment's final layer. in must hold exactly the input rows
+// InputRange(from, to, out) of the feature map at boundary from, at its
+// full width (for a full run, the whole input). The returned tensor is
+// arena-backed; callers done with it may Recycle it to keep the hot path
+// allocation-free.
+func (e *Executor) RunSegment(from, to int, in Tensor, out partition.Range) (Tensor, error) {
+	res, err := e.runSegment(from, to, tile{f: in}, partition.Rect{Rows: out}, true)
+	return res.f, err
 }
 
-// runLayer executes model layer i on a tile holding input rows
-// [inLo, inLo+in.H) and produces output rows out.
-func (e *Executor) runLayer(i int, in Tensor, inLo int, out partition.Range) (Tensor, error) {
-	l := &e.m.Layers[i]
-	inShape := e.m.InShape(i)
-	return e.runLayerOn(l, strconv.Itoa(i), in, inLo, inShape, out)
+// RunSegmentRect executes layers [from, to) producing the output rectangle
+// out of the segment's final layer. in must hold exactly the input region
+// the segment needs (SegmentRects(from, to, out)[0] of the partition Calc).
+// FullyConnected / GlobalAvgPool layers are not grid-partitionable and are
+// rejected inside rect segments unless the tile is the whole map. The
+// returned tensor is arena-backed; callers done with it may Recycle it.
+func (e *Executor) RunSegmentRect(from, to int, in Tensor, out partition.Rect) (Tensor, error) {
+	res, err := e.runSegment(from, to, tile{f: in}, out, false)
+	return res.f, err
 }
 
-// runLayerOn dispatches one layer (possibly inside a block) with explicit
-// geometry: inShape is the layer's full input shape, inLo the tile's global
-// row offset.
-func (e *Executor) runLayerOn(l *nn.Layer, key string, in Tensor, inLo int, inShape nn.Shape, out partition.Range) (Tensor, error) {
-	switch l.Kind {
-	case nn.Conv:
-		wts := e.convW(key, l, inShape.C)
-		kernel := convForward
-		if e.refKernels {
-			kernel = convForwardRef
+// weights returns (generating with gen on first use) the cached weights
+// for k.
+func (e *Executor) weights(k weightKey, gen func() any) any {
+	e.mu.RLock()
+	ent, ok := e.wts[k]
+	e.mu.RUnlock()
+	if !ok {
+		e.mu.Lock()
+		if ent, ok = e.wts[k]; !ok {
+			ent = &weightEntry{}
+			e.wts[k] = ent
 		}
-		start := time.Now()
-		res := kernel(in, inLo, inShape.H, l, wts, out.Lo, out.Hi, e.par)
-		e.stats.add(e.stats.convCounter(l, inShape.C), time.Since(start))
-		return res, nil
-	case nn.MaxPool, nn.AvgPool:
-		kernel := poolForward
-		if e.refKernels {
-			kernel = poolForwardRef
-		}
-		start := time.Now()
-		res := kernel(in, inLo, inShape.H, l, out.Lo, out.Hi, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
-	case nn.FullyConnected:
-		if inLo != 0 || in.H != inShape.H {
-			return Tensor{}, fmt.Errorf("fc needs the full input, got rows [%d,%d) of %d", inLo, inLo+in.H, inShape.H)
-		}
-		wts := e.fcW(key, l, inShape.Elems())
-		kernel := fcForward
-		if e.refKernels {
-			kernel = fcForwardRef
-		}
-		start := time.Now()
-		res := kernel(in, l, wts, e.par)
-		e.stats.add(&e.stats.fc, time.Since(start))
-		return res, nil
-	case nn.GlobalAvgPool:
-		if inLo != 0 || in.H != inShape.H {
-			return Tensor{}, fmt.Errorf("global pool needs the full input, got rows [%d,%d) of %d", inLo, inLo+in.H, inShape.H)
-		}
-		start := time.Now()
-		res := gapForward(in, l, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
-	case nn.Block:
-		return e.runBlock(l, key, in, inLo, inShape, out)
-	default:
-		return Tensor{}, fmt.Errorf("unsupported layer kind %v", l.Kind)
+		e.mu.Unlock()
 	}
+	ent.once.Do(func() { ent.w = gen() })
+	return ent.w
 }
 
-// runBlock executes a graph block on a tile covering the hull of all path
-// input requirements, then combines path outputs. Path intermediates are
-// recycled as soon as the next layer consumes them; path outputs are
-// recycled after merging.
-func (e *Executor) runBlock(l *nn.Layer, key string, in Tensor, inLo int, inShape nn.Shape, out partition.Range) (Tensor, error) {
-	var combined Tensor
-	for pi, path := range l.Paths {
-		var pOut Tensor
-		if len(path) == 0 {
-			// Identity shortcut: block output rows map one-to-one onto
-			// block input rows.
-			lo := out.Lo - inLo
-			hi := out.Hi - inLo
-			if lo < 0 || hi > in.H {
-				return Tensor{}, fmt.Errorf("identity path needs rows %v outside tile [%d,%d)", out, inLo, inLo+in.H)
-			}
-			pOut = in.SliceRows(lo, hi)
-		} else {
-			needs := e.calc.PathRanges(path, out, inShape.H)
-			lo := needs[0].Lo - inLo
-			hi := needs[0].Hi - inLo
-			if lo < 0 || hi > in.H {
-				return Tensor{}, fmt.Errorf("path %d needs rows %v outside tile [%d,%d)", pi, needs[0], inLo, inLo+in.H)
-			}
-			cur := in.SliceRows(lo, hi)
-			curLo := needs[0].Lo
-			curShape := inShape
-			for li := range path {
-				nextShape, err := path[li].OutShape(curShape)
-				if err != nil {
-					return Tensor{}, err
-				}
-				pk := key + "/" + strconv.Itoa(pi) + "/" + strconv.Itoa(li)
-				next, err := e.runLayerOn(&path[li], pk, cur, curLo, curShape, needs[li+1])
-				if err != nil {
-					return Tensor{}, fmt.Errorf("path %d layer %d (%s): %w", pi, li, path[li].Name, err)
-				}
-				Recycle(cur) // cur is the path-local copy or a path intermediate
-				cur = next
-				curLo = needs[li+1].Lo
-				curShape = nextShape
-			}
-			pOut = cur
-		}
-		if pi == 0 {
-			combined = pOut
-			continue
-		}
-		switch l.Combine {
-		case nn.Add:
-			if pOut.C != combined.C || pOut.H != combined.H || pOut.W != combined.W {
-				return Tensor{}, fmt.Errorf("add path %d extent mismatch", pi)
-			}
-			for j := range combined.Data {
-				combined.Data[j] += pOut.Data[j]
-			}
-			Recycle(pOut)
-		case nn.Concat:
-			if pOut.H != combined.H || pOut.W != combined.W {
-				return Tensor{}, fmt.Errorf("concat path %d spatial mismatch", pi)
-			}
-			combined = concatChannels(combined, pOut)
-		default:
-			return Tensor{}, fmt.Errorf("invalid combine %v", l.Combine)
-		}
-	}
-	applyActivation(combined.Data, l.Act)
-	return combined, nil
-}
-
-// concatChannels merges two feature maps along the channel axis into an
-// explicitly allocated buffer and recycles the inputs. An append onto
-// a.Data would be wrong here: when a's backing array has spare capacity
-// (always true for arena slabs), append writes b's channels into memory
-// that other tensors may share.
-func concatChannels(a, b Tensor) Tensor {
-	merged := Alloc(a.C+b.C, a.H, a.W)
-	copy(merged.Data, a.Data)
-	copy(merged.Data[len(a.Data):], b.Data)
-	Recycle(a)
-	Recycle(b)
-	return merged
-}
-
-// convW returns (generating on first use) the convolution weights for key.
+// convW returns the convolution weights for key.
 func (e *Executor) convW(key string, l *nn.Layer, inC int) *convWeights {
-	e.mu.RLock()
-	ent, ok := e.conv[key]
-	e.mu.RUnlock()
-	if !ok {
-		e.mu.Lock()
-		if ent, ok = e.conv[key]; !ok {
-			ent = &convEntry{}
-			e.conv[key] = ent
-		}
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() { ent.w = genConv(e.seed, key, l, inC) })
-	return ent.w
+	return e.weights(weightKey{layer: key}, func() any { return genConv(e.seed, key, l, inC) }).(*convWeights)
 }
 
-// fcW returns (generating on first use) the fully connected weights for key.
+// fcW returns the fully connected weights for key.
 func (e *Executor) fcW(key string, l *nn.Layer, inElems int) *fcWeights {
-	e.mu.RLock()
-	ent, ok := e.fc[key]
-	e.mu.RUnlock()
-	if !ok {
-		e.mu.Lock()
-		if ent, ok = e.fc[key]; !ok {
-			ent = &fcEntry{}
-			e.fc[key] = ent
-		}
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() { ent.w = genFC(e.seed, key, l, inElems) })
-	return ent.w
+	return e.weights(weightKey{layer: key}, func() any { return genFC(e.seed, key, l, inElems) }).(*fcWeights)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"pico/internal/nn"
+	"pico/internal/partition"
 )
 
 // convForward computes output rows [outLo, outHi) of a convolution.
@@ -18,8 +19,8 @@ import (
 // This is a dispatcher over cache-blocked kernels that all preserve that
 // per-element order exactly (see DESIGN.md): a depthwise path (groups ==
 // channels), a 1x1 stride-1 row-panel matmul path, and the general
-// register-tiled path. convForwardRef keeps the original single-channel
-// sweep for property tests and benchmarks.
+// register-tiled rect kernel run at full width. convForwardRef keeps the
+// original single-channel sweep for property tests and benchmarks.
 func convForward(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
 	groups := l.Groups
 	if groups < 1 {
@@ -40,7 +41,9 @@ func convForward(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, 
 		}
 		return convForwardPointwise(in, inLo, inHGlobal, l, wts, outLo, outHi, par)
 	default:
-		return convForwardBlocked(in, inLo, inHGlobal, l, wts, outLo, outHi, par)
+		outW := (in.W+2*l.PW-l.KW)/l.SW + 1
+		out := partition.Rect{Rows: partition.Range{Lo: outLo, Hi: outHi}, Cols: partition.Full(outW)}
+		return convForwardRectBlocked(in, inLo, 0, inHGlobal, in.W, l, wts, out, par)
 	}
 }
 
@@ -89,79 +92,6 @@ func convForwardRef(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeight
 				}
 			}
 			finishChannel(acc, wts, oc, l.Act)
-		}
-	})
-	return out
-}
-
-// convForwardBlocked is the general register-tiled kernel: each work unit is
-// one output row of one oc-block, so every sweep over an input row feeds up
-// to ocBlockWidth accumulator rows at once and input bandwidth drops by the
-// block width. Work units are (block, row) pairs — a parallelFor chunk can
-// never split a register block across workers.
-//
-// Per output element the accumulation order is unchanged: channels have
-// independent accumulator chains, so interleaving the taps of four channels
-// over the same input row reorders nothing within any one chain. The packed
-// tap layout is only used for dense full-width blocks (see ocBlock.packed);
-// ragged or sparse blocks fall back to the per-channel compacted rows, which
-// preserves the zero-tap skip order exactly.
-func convForwardBlocked(in Tensor, inLo, inHGlobal int, l *nn.Layer, wts *convWeights, outLo, outHi, par int) Tensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := Alloc(l.OutC, outRows, outW)
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
-	icg := in.C / groups
-	grain := grainFor(ocBlockWidth * icg * l.KH * l.KW * outW)
-	accStride := outRows * outW
-	parallelForGrain(len(wts.blocks)*outRows, par, grain, func(lo, hi int) {
-		var accs [ocBlockWidth][]float32
-		for u := lo; u < hi; u++ {
-			blk := &wts.blocks[u/outRows]
-			or := u % outRows
-			ohGlobal := outLo + or
-			for b := 0; b < blk.width; b++ {
-				oc := blk.oc0 + b
-				acc := out.Data[(oc*outRows+or)*outW : (oc*outRows+or+1)*outW]
-				for i := range acc {
-					acc[i] = wts.bias[oc]
-				}
-				accs[b] = acc
-			}
-			// The four accumulator rows of a full-width block are evenly
-			// strided in out.Data, which is what the packed row primitive
-			// (and its vector tiles) wants.
-			accBase := out.Data[(blk.oc0*outRows+or)*outW:]
-			for g := 0; g < icg; g++ {
-				ic := blk.icBase + g
-				for kh := 0; kh < l.KH; kh++ {
-					ihGlobal := ohGlobal*l.SH - l.PH + kh
-					if ihGlobal < 0 || ihGlobal >= inHGlobal {
-						continue // zero padding row
-					}
-					ih := ihGlobal - inLo
-					if ih < 0 || ih >= in.H {
-						panic(fmt.Sprintf("tensor: conv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-					}
-					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					if blk.packed != nil {
-						pk := blk.packed[(g*l.KH+kh)*l.KW*ocBlockWidth:]
-						convRowBlk(accBase, accStride, inRow, pk, l.KW, l.SW, l.PW, 0, 0, in.W, outW)
-					} else {
-						for b := 0; b < blk.width; b++ {
-							oc := blk.oc0 + b
-							row := &wts.rows[(oc*icg+g)*l.KH+kh]
-							convRow(accs[b], inRow, row, l.SW, l.PW, in.W, outW)
-						}
-					}
-				}
-			}
-			for b := 0; b < blk.width; b++ {
-				finishChannel(accs[b], wts, blk.oc0+b, l.Act)
-			}
 		}
 	})
 	return out

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"pico/internal/nn"
+	"pico/internal/partition"
 )
 
 // The int8 quantized path. Activations and weights are quantized with
@@ -46,15 +47,16 @@ func (q *QTensor) At(c, h, w int) int8 { return q.Data[(c*q.H+h)*q.W+w] }
 // SliceRows copies rows [lo, hi) of every channel into a new arena-backed
 // QTensor carrying the same scale.
 func (q *QTensor) SliceRows(lo, hi int) QTensor {
-	if lo < 0 || hi > q.H || lo >= hi {
-		panic(fmt.Sprintf("tensor: QTensor.SliceRows[%d,%d) of height %d", lo, hi, q.H))
-	}
-	out := AllocQ(q.C, hi-lo, q.W, q.Scale)
-	for c := 0; c < q.C; c++ {
-		src := q.Data[(c*q.H+lo)*q.W : (c*q.H+hi)*q.W]
-		dst := out.Data[c*out.H*out.W : (c+1)*out.H*out.W]
-		copy(dst, src)
-	}
+	return q.SliceRect(partition.Rect{Rows: partition.Range{Lo: lo, Hi: hi}, Cols: partition.Full(q.W)})
+}
+
+// SliceRect copies the region rect of every channel into an arena-backed
+// QTensor carrying the same scale — what a grid leader sends each worker
+// under quantized plans.
+func (q *QTensor) SliceRect(rect partition.Rect) QTensor {
+	checkRegion(rect, q.H, q.W)
+	out := AllocQ(q.C, rect.Rows.Len(), rect.Cols.Len(), q.Scale)
+	sliceRegion(out.Data, q.Data, q.C, q.H, q.W, rect)
 	return out
 }
 
@@ -112,36 +114,31 @@ func StitchRowsQ(strips []QTensor, los []int, h int) (QTensor, error) {
 	if len(strips) == 0 || len(strips) != len(los) {
 		return QTensor{}, fmt.Errorf("tensor: %d strips with %d offsets", len(strips), len(los))
 	}
-	c, w, scale := strips[0].C, strips[0].W, strips[0].Scale
-	out := AllocQ(c, h, w, scale)
-	covered := make([]bool, h)
+	rects := make([]partition.Rect, len(strips))
 	for i, s := range strips {
-		if s.C != c || s.W != w {
-			return QTensor{}, fmt.Errorf("tensor: strip %d extent %dx%dx%d mismatches %dx?x%d", i, s.C, s.H, s.W, c, w)
-		}
-		if math.Float32bits(s.Scale) != math.Float32bits(scale) {
-			return QTensor{}, fmt.Errorf("tensor: strip %d scale %g mismatches %g", i, s.Scale, scale)
-		}
-		lo := los[i]
-		if lo < 0 || lo+s.H > h {
-			return QTensor{}, fmt.Errorf("tensor: strip %d rows [%d,%d) outside [0,%d)", i, lo, lo+s.H, h)
-		}
-		for r := 0; r < s.H; r++ {
-			if covered[lo+r] {
-				return QTensor{}, fmt.Errorf("tensor: row %d covered twice", lo+r)
-			}
-			covered[lo+r] = true
-		}
-		for ch := 0; ch < c; ch++ {
-			src := s.Data[ch*s.H*s.W : (ch*s.H+s.H)*s.W]
-			dst := out.Data[(ch*h+lo)*w : (ch*h+lo+s.H)*w]
-			copy(dst, src)
-		}
+		rects[i] = stripRect(los[i], s.H, strips[0].W)
 	}
-	for r, ok := range covered {
-		if !ok {
-			return QTensor{}, fmt.Errorf("tensor: row %d uncovered", r)
+	return StitchGridQ(strips, rects, h, strips[0].W)
+}
+
+// StitchGridQ reassembles a full h x w int8 feature map from disjoint
+// rectangular tiles; tiles[i] covers rects[i]. Every cell must be covered
+// exactly once and every tile must carry bit-identical scales.
+func StitchGridQ(tiles []QTensor, rects []partition.Rect, h, w int) (QTensor, error) {
+	if len(tiles) == 0 || len(tiles) != len(rects) {
+		return QTensor{}, fmt.Errorf("tensor: %d tiles with %d rects", len(tiles), len(rects))
+	}
+	planes := make([]plane[int8], len(tiles))
+	for i, t := range tiles {
+		if math.Float32bits(t.Scale) != math.Float32bits(tiles[0].Scale) {
+			return QTensor{}, fmt.Errorf("tensor: tile %d scale %g mismatches %g", i, t.Scale, tiles[0].Scale)
 		}
+		planes[i] = plane[int8]{t.C, t.H, t.W, t.Data}
+	}
+	out := AllocQ(tiles[0].C, h, w, tiles[0].Scale)
+	if err := stitchRegions(out.Data, out.C, h, w, planes, rects); err != nil {
+		RecycleQ(out)
+		return QTensor{}, err
 	}
 	return out, nil
 }

@@ -2,8 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"strconv"
-	"time"
 
 	"pico/internal/nn"
 	"pico/internal/partition"
@@ -59,24 +57,25 @@ func (e *Executor) calibrate() ([]float32, error) {
 	in := calibrationInput(e.m.Input, e.seed)
 	scales[0] = scaleFor(maxAbs(in.Data))
 	shapes := e.m.Shapes()
-	cur := in
+	cur := tile{f: in}
 	for i := 0; i < e.m.NumLayers(); i++ {
-		next, err := e.runLayer(i, cur, 0, partition.Full(shapes[i+1].H))
+		s := e.modelStep(i, partition.FullRect(shapes[i].H, shapes[i].W), partition.FullRect(shapes[i+1].H, shapes[i+1].W))
+		next, err := e.runLayer(s, cur)
 		if err != nil {
 			return nil, fmt.Errorf("tensor: calibrating layer %d (%s): %w", i, e.m.Layers[i].Name, err)
 		}
 		if i > 0 {
-			Recycle(cur)
+			cur.recycle()
 		}
 		switch e.m.Layers[i].Kind {
 		case nn.MaxPool, nn.AvgPool, nn.GlobalAvgPool:
 			scales[i+1] = scales[i]
 		default:
-			scales[i+1] = scaleFor(maxAbs(next.Data))
+			scales[i+1] = scaleFor(maxAbs(next.f.Data))
 		}
 		cur = next
 	}
-	Recycle(cur)
+	cur.recycle()
 	return scales, nil
 }
 
@@ -90,175 +89,51 @@ func (e *Executor) RunQ(in Tensor) (QTensor, error) {
 	if err != nil {
 		return QTensor{}, err
 	}
-	outH := e.m.Output().H
-	need := e.calc.InputRange(0, e.m.NumLayers(), partition.Full(outH))
-	run := in
-	var trimmed Tensor
-	if in.Valid() && in.C == e.m.Input.C && in.H == e.m.Input.H && in.W == e.m.Input.W && need.Len() < in.H {
-		trimmed = in.SliceRows(need.Lo, need.Hi)
-		run = trimmed
-	}
+	run, trimmed := e.readRows(in)
 	q := QuantizeTensor(run, scales[0])
-	if trimmed.Valid() {
-		Recycle(trimmed)
+	if trimmed {
+		Recycle(run)
 	}
-	out, err := e.RunSegmentQ(0, e.m.NumLayers(), q, partition.Full(outH))
+	out, err := e.RunSegmentQ(0, e.m.NumLayers(), q, partition.Full(e.m.Output().H))
 	RecycleQ(q)
 	return out, err
 }
 
 // RunSegmentQ is the int8 counterpart of RunSegment: it executes layers
-// [from, to) on an int8 tile holding exactly the rows InputRange(from, to,
-// out) of the boundary-from feature map, quantized at that boundary's
-// calibrated scale. The tile's recorded scale must match the calibrated one
-// bit for bit — a mismatch means the sender calibrated a different model or
-// seed, which would silently corrupt every value.
-func (e *Executor) RunSegmentQ(from, to int, tile QTensor, out partition.Range) (QTensor, error) {
-	scales, err := e.QuantScales()
-	if err != nil {
-		return QTensor{}, err
-	}
-	if from < 0 || to > e.m.NumLayers() || from >= to {
-		return QTensor{}, fmt.Errorf("tensor: invalid segment [%d,%d)", from, to)
-	}
-	if out.Empty() {
-		return QTensor{}, fmt.Errorf("tensor: empty output range %v", out)
-	}
-	shapes := e.m.Shapes()
-	ranges := e.calc.SegmentRanges(from, to, out)
-	inShape := shapes[from]
-	if !tile.Valid() {
-		return QTensor{}, fmt.Errorf("tensor: invalid input tile")
-	}
-	if tile.C != inShape.C || tile.W != inShape.W || tile.H != ranges[0].Len() {
-		return QTensor{}, fmt.Errorf("tensor: tile %dx%dx%d does not match required region %v of %v",
-			tile.C, tile.H, tile.W, ranges[0], inShape)
-	}
-	if tile.Scale != scales[from] {
-		return QTensor{}, fmt.Errorf("tensor: tile scale %g does not match calibrated boundary scale %g", tile.Scale, scales[from])
-	}
-	cur := tile
-	curLo := ranges[0].Lo
-	for i := from; i < to; i++ {
-		need := ranges[i-from+1]
-		next, err := e.runLayerQ(i, cur, curLo, need, scales)
-		if err != nil {
-			return QTensor{}, fmt.Errorf("tensor: layer %d (%s): %w", i, e.m.Layers[i].Name, err)
-		}
-		if i > from {
-			RecycleQ(cur)
-		}
-		cur = next
-		curLo = need.Lo
-	}
-	return cur, nil
+// [from, to) on an int8 tile, in, holding exactly the rows InputRange(from,
+// to, out) of the boundary-from feature map at its full width, quantized at
+// that boundary's calibrated scale. The tile's recorded scale must match
+// the calibrated one bit for bit — a mismatch means the sender calibrated a
+// different model or seed, which would silently corrupt every value.
+func (e *Executor) RunSegmentQ(from, to int, in QTensor, out partition.Range) (QTensor, error) {
+	res, err := e.runSegment(from, to, tile{dt: dtInt8, q: in}, partition.Rect{Rows: out}, true)
+	return res.q, err
 }
 
-// runLayerQ executes model layer i on an int8 tile. Conv and fc layers run
-// the int8 kernels with fused requantization to scales[i+1]; pools run
-// directly in the quantized domain; Block super-layers fall back to the
-// float engine between boundaries (dequantize, run, requantize) — their
-// internal graph combine is additive and rare, so the hybrid keeps every
-// model runnable under quant mode while the chain-structured hot models
-// stay int8 end to end.
-func (e *Executor) runLayerQ(i int, in QTensor, inLo int, out partition.Range, scales []float32) (QTensor, error) {
-	l := &e.m.Layers[i]
-	key := strconv.Itoa(i)
-	inShape := e.m.InShape(i)
-	sIn, sOut := scales[i], scales[i+1]
-	switch l.Kind {
-	case nn.Conv:
-		qw := e.qconvW(key, l, inShape.C, sIn, sOut)
-		kernel := qconvForward
-		if e.refKernels {
-			kernel = qconvForwardRef
-		}
-		start := time.Now()
-		res := kernel(in, inLo, inShape.H, l, qw, out.Lo, out.Hi, e.par)
-		e.stats.add(e.stats.convCounter(l, inShape.C), time.Since(start))
-		res.Scale = sOut
-		return res, nil
-	case nn.MaxPool, nn.AvgPool:
-		start := time.Now()
-		res := qpoolForward(in, inLo, inShape.H, l, out.Lo, out.Hi, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
-	case nn.FullyConnected:
-		if inLo != 0 || in.H != inShape.H {
-			return QTensor{}, fmt.Errorf("fc needs the full input, got rows [%d,%d) of %d", inLo, inLo+in.H, inShape.H)
-		}
-		qw := e.qfcW(key, l, inShape.Elems(), sIn, sOut)
-		kernel := qfcForward
-		if e.refKernels {
-			kernel = qfcForwardRef
-		}
-		start := time.Now()
-		res := kernel(in, l, qw, e.par)
-		e.stats.add(&e.stats.fc, time.Since(start))
-		res.Scale = sOut
-		return res, nil
-	case nn.GlobalAvgPool:
-		if inLo != 0 || in.H != inShape.H {
-			return QTensor{}, fmt.Errorf("global pool needs the full input, got rows [%d,%d) of %d", inLo, inLo+in.H, inShape.H)
-		}
-		start := time.Now()
-		res := qgapForward(in, l, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
-	case nn.Block:
-		fin := in.Dequantize()
-		res, err := e.runBlock(l, key, fin, inLo, inShape, out)
-		Recycle(fin)
-		if err != nil {
-			return QTensor{}, err
-		}
-		q := QuantizeTensor(res, sOut)
-		Recycle(res)
-		return q, nil
-	default:
-		return QTensor{}, fmt.Errorf("unsupported layer kind %v", l.Kind)
-	}
+// RunSegmentRectQ executes layers [from, to) in int8, producing the output
+// rectangle out of the segment's final layer. in must hold exactly the
+// input region SegmentRects(from, to, out)[0], quantized at boundary from's
+// calibrated scale (bit-exact, like RunSegmentQ). FullyConnected /
+// GlobalAvgPool layers require the full-map tile, exactly as in the float
+// rect path.
+func (e *Executor) RunSegmentRectQ(from, to int, in QTensor, out partition.Rect) (QTensor, error) {
+	res, err := e.runSegment(from, to, tile{dt: dtInt8, q: in}, out, false)
+	return res.q, err
 }
 
-// qconvW returns (generating on first use) the quantized convolution
-// weights for key. The float weights are materialised first — through the
-// shared cache — and quantized per output channel.
+// qconvW returns the quantized convolution weights for key, derived from
+// the float weights (through the shared cache) with per-output-channel
+// scales at the layer's calibrated boundary scales.
 func (e *Executor) qconvW(key string, l *nn.Layer, inC int, sIn, sOut float32) *qconvWeights {
-	e.mu.RLock()
-	ent, ok := e.qconv[key]
-	e.mu.RUnlock()
-	if !ok {
-		e.mu.Lock()
-		if ent, ok = e.qconv[key]; !ok {
-			ent = &qconvEntry{}
-			e.qconv[key] = ent
-		}
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() {
-		groups := l.Groups
-		if groups < 1 {
-			groups = 1
-		}
-		ent.w = genQConv(e.convW(key, l, inC), l, inC/groups, sIn, sOut)
-	})
-	return ent.w
+	return e.weights(weightKey{layer: key, quant: true}, func() any {
+		groups := max(l.Groups, 1)
+		return genQConv(e.convW(key, l, inC), l, inC/groups, sIn, sOut)
+	}).(*qconvWeights)
 }
 
-// qfcW returns (generating on first use) the quantized fully connected
-// weights for key.
+// qfcW returns the quantized fully connected weights for key.
 func (e *Executor) qfcW(key string, l *nn.Layer, inElems int, sIn, sOut float32) *qfcWeights {
-	e.mu.RLock()
-	ent, ok := e.qfc[key]
-	e.mu.RUnlock()
-	if !ok {
-		e.mu.Lock()
-		if ent, ok = e.qfc[key]; !ok {
-			ent = &qfcEntry{}
-			e.qfc[key] = ent
-		}
-		e.mu.Unlock()
-	}
-	ent.once.Do(func() { ent.w = genQFC(e.fcW(key, l, inElems), l, inElems, sIn, sOut) })
-	return ent.w
+	return e.weights(weightKey{layer: key, quant: true}, func() any {
+		return genQFC(e.fcW(key, l, inElems), l, inElems, sIn, sOut)
+	}).(*qfcWeights)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"pico/internal/nn"
+	"pico/internal/partition"
 )
 
 // Quantized kernels. All of them accumulate in int32 and emit int8 through
@@ -30,7 +31,9 @@ func qconvForward(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights
 		}
 		return qconvForwardPointwise(in, inLo, inHGlobal, l, qw, outLo, outHi, par)
 	default:
-		return qconvForwardBlocked(in, inLo, inHGlobal, l, qw, outLo, outHi, par)
+		outW := (in.W+2*l.PW-l.KW)/l.SW + 1
+		out := partition.Rect{Rows: partition.Range{Lo: outLo, Hi: outHi}, Cols: partition.Full(outW)}
+		return qconvForwardRect(in, inLo, 0, inHGlobal, in.W, l, qw, out, par)
 	}
 }
 
@@ -79,54 +82,6 @@ func qconvForwardRef(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeig
 					}
 				}
 				dst[ow] = requant1(acc, qw.effScale[oc], qw.effBias[oc], l.Act)
-			}
-		}
-	})
-	return out
-}
-
-// qconvForwardBlocked is the general register-tiled int8 kernel: one work
-// unit is one output row of one oc-block; each input-row sweep feeds up to
-// ocBlockWidth int32 accumulator rows through the always-dense packed taps.
-func qconvForwardBlocked(in QTensor, inLo, inHGlobal int, l *nn.Layer, qw *qconvWeights, outLo, outHi, par int) QTensor {
-	outW := (in.W+2*l.PW-l.KW)/l.SW + 1
-	outRows := outHi - outLo
-	out := AllocQ(l.OutC, outRows, outW, 1)
-	groups := l.Groups
-	if groups < 1 {
-		groups = 1
-	}
-	icg := in.C / groups
-	grain := grainFor(ocBlockWidth * icg * l.KH * l.KW * outW)
-	parallelForGrain(len(qw.blocks)*outRows, par, grain, func(lo, hi int) {
-		accBuf := make([]int32, ocBlockWidth*outW)
-		for u := lo; u < hi; u++ {
-			blk := &qw.blocks[u/outRows]
-			or := u % outRows
-			ohGlobal := outLo + or
-			for i := range accBuf {
-				accBuf[i] = 0
-			}
-			for g := 0; g < icg; g++ {
-				ic := blk.icBase + g
-				for kh := 0; kh < l.KH; kh++ {
-					ihGlobal := ohGlobal*l.SH - l.PH + kh
-					if ihGlobal < 0 || ihGlobal >= inHGlobal {
-						continue // zero padding row
-					}
-					ih := ihGlobal - inLo
-					if ih < 0 || ih >= in.H {
-						panic(fmt.Sprintf("tensor: qconv needs global row %d outside tile [%d,%d)", ihGlobal, inLo, inLo+in.H))
-					}
-					inRow := in.Data[(ic*in.H+ih)*in.W : (ic*in.H+ih+1)*in.W]
-					pk32 := blk.packed32[(g*l.KH+kh)*l.KW*ocBlockWidth:]
-					qconvRowBlk(accBuf, outW, inRow, pk32, l.KW, l.SW, l.PW, 0, 0, in.W, outW)
-				}
-			}
-			for b := 0; b < blk.width; b++ {
-				oc := blk.oc0 + b
-				dst := out.Data[(oc*outRows+or)*outW : (oc*outRows+or+1)*outW]
-				requantRow(dst, accBuf[b*outW:(b+1)*outW], qw.effScale[oc], qw.effBias[oc], l.Act)
 			}
 		}
 	})

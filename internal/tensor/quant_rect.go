@@ -2,9 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
-	"strconv"
-	"time"
 
 	"pico/internal/nn"
 	"pico/internal/partition"
@@ -21,7 +18,10 @@ import (
 // qconvForwardRect computes the output rectangle out of an int8 convolution
 // from a tile holding input rows [inRowLo, inRowLo+in.H) and columns
 // [inColLo, inColLo+in.W) of a feature map with global extent
-// inHGlobal x inWGlobal.
+// inHGlobal x inWGlobal. It is the general register-tiled int8 kernel —
+// strips run it at full width: one work unit is one output row of one
+// oc-block, and each input-row sweep feeds up to ocBlockWidth int32
+// accumulator rows through the always-dense packed taps.
 func qconvForwardRect(in QTensor, inRowLo, inColLo, inHGlobal, inWGlobal int, l *nn.Layer, qw *qconvWeights, out partition.Rect, par int) QTensor {
 	outRows := out.Rows.Len()
 	outCols := out.Cols.Len()
@@ -128,156 +128,4 @@ func qpoolForwardRect(in QTensor, inRowLo, inColLo, inHGlobal, inWGlobal int, l 
 		}
 	})
 	return res
-}
-
-// RunSegmentRectQ executes layers [from, to) in int8, producing the output
-// rectangle out of the segment's final layer. tile must hold exactly the
-// input region SegmentRects(from, to, out)[0], quantized at boundary from's
-// calibrated scale (bit-exact, like RunSegmentQ). FullyConnected /
-// GlobalAvgPool layers require the full-map tile, exactly as in the float
-// rect path.
-func (e *Executor) RunSegmentRectQ(from, to int, tile QTensor, out partition.Rect) (QTensor, error) {
-	scales, err := e.QuantScales()
-	if err != nil {
-		return QTensor{}, err
-	}
-	if from < 0 || to > e.m.NumLayers() || from >= to {
-		return QTensor{}, fmt.Errorf("tensor: invalid segment [%d,%d)", from, to)
-	}
-	if out.Empty() {
-		return QTensor{}, fmt.Errorf("tensor: empty output rect %v", out)
-	}
-	shapes := e.m.Shapes()
-	rects := e.calc.SegmentRects(from, to, out)
-	inShape := shapes[from]
-	need := rects[0]
-	if !tile.Valid() || tile.C != inShape.C || tile.H != need.Rows.Len() || tile.W != need.Cols.Len() {
-		return QTensor{}, fmt.Errorf("tensor: tile %dx%dx%d does not match required region %v of %v",
-			tile.C, tile.H, tile.W, need, inShape)
-	}
-	if math.Float32bits(tile.Scale) != math.Float32bits(scales[from]) {
-		return QTensor{}, fmt.Errorf("tensor: tile scale %g does not match calibrated boundary scale %g", tile.Scale, scales[from])
-	}
-	cur := tile
-	curRowLo, curColLo := need.Rows.Lo, need.Cols.Lo
-	for i := from; i < to; i++ {
-		next, err := e.runLayerRectQ(i, cur, curRowLo, curColLo, rects[i-from+1], scales)
-		if err != nil {
-			return QTensor{}, fmt.Errorf("tensor: layer %d (%s): %w", i, e.m.Layers[i].Name, err)
-		}
-		if i > from {
-			RecycleQ(cur)
-		}
-		cur = next
-		curRowLo, curColLo = rects[i-from+1].Rows.Lo, rects[i-from+1].Cols.Lo
-	}
-	return cur, nil
-}
-
-// runLayerRectQ executes model layer i on an int8 rect tile, requantizing
-// conv/fc outputs to scales[i+1] through the shared epilogue.
-func (e *Executor) runLayerRectQ(i int, in QTensor, inRowLo, inColLo int, out partition.Rect, scales []float32) (QTensor, error) {
-	l := &e.m.Layers[i]
-	key := strconv.Itoa(i)
-	inShape := e.m.InShape(i)
-	sIn, sOut := scales[i], scales[i+1]
-	switch l.Kind {
-	case nn.Conv:
-		qw := e.qconvW(key, l, inShape.C, sIn, sOut)
-		start := time.Now()
-		res := qconvForwardRect(in, inRowLo, inColLo, inShape.H, inShape.W, l, qw, out, e.par)
-		e.stats.add(e.stats.convCounter(l, inShape.C), time.Since(start))
-		res.Scale = sOut
-		return res, nil
-	case nn.MaxPool, nn.AvgPool:
-		start := time.Now()
-		res := qpoolForwardRect(in, inRowLo, inColLo, inShape.H, inShape.W, l, out, e.par)
-		e.stats.add(&e.stats.pool, time.Since(start))
-		return res, nil
-	case nn.FullyConnected, nn.GlobalAvgPool:
-		if inRowLo != 0 || inColLo != 0 || in.H != inShape.H || in.W != inShape.W {
-			return QTensor{}, fmt.Errorf("%v needs the full input map in a rect segment", l.Kind)
-		}
-		return e.runLayerQ(i, in, 0, partition.Range{Lo: out.Rows.Lo, Hi: out.Rows.Hi}, scales)
-	case nn.Block:
-		// Hybrid, like runLayerQ: Block internals run the float rect
-		// engine between the int8 boundaries.
-		fin := in.Dequantize()
-		res, err := e.runBlockRect(l, key, fin, inRowLo, inColLo, inShape, out)
-		Recycle(fin)
-		if err != nil {
-			return QTensor{}, err
-		}
-		q := QuantizeTensor(res, sOut)
-		Recycle(res)
-		return q, nil
-	default:
-		return QTensor{}, fmt.Errorf("unsupported layer kind %v", l.Kind)
-	}
-}
-
-// SliceRect copies the rectangular sub-region rect of every channel into an
-// arena-backed QTensor carrying the same scale — what a grid leader sends
-// each worker under quantized plans.
-func (q *QTensor) SliceRect(rect partition.Rect) QTensor {
-	rLo, rHi := rect.Rows.Lo, rect.Rows.Hi
-	cLo, cHi := rect.Cols.Lo, rect.Cols.Hi
-	if rLo < 0 || rHi > q.H || cLo < 0 || cHi > q.W || rLo >= rHi || cLo >= cHi {
-		panic(fmt.Sprintf("tensor: QTensor.SliceRect [%d,%d)x[%d,%d) of %dx%d", rLo, rHi, cLo, cHi, q.H, q.W))
-	}
-	out := AllocQ(q.C, rHi-rLo, cHi-cLo, q.Scale)
-	for c := 0; c < q.C; c++ {
-		for r := rLo; r < rHi; r++ {
-			src := q.Data[(c*q.H+r)*q.W+cLo : (c*q.H+r)*q.W+cHi]
-			dst := out.Data[(c*out.H+(r-rLo))*out.W : (c*out.H+(r-rLo)+1)*out.W]
-			copy(dst, src)
-		}
-	}
-	return out
-}
-
-// StitchGridQ reassembles a full h x w int8 feature map from disjoint
-// rectangular tiles; tiles[i] covers rects[i]. Every cell must be covered
-// exactly once and every tile must carry bit-identical scales.
-func StitchGridQ(tiles []QTensor, rects []partition.Rect, h, w int) (QTensor, error) {
-	if len(tiles) == 0 || len(tiles) != len(rects) {
-		return QTensor{}, fmt.Errorf("tensor: %d tiles with %d rects", len(tiles), len(rects))
-	}
-	c, scale := tiles[0].C, tiles[0].Scale
-	out := AllocQ(c, h, w, scale)
-	covered := make([]bool, h*w)
-	for i, tile := range tiles {
-		rc := rects[i]
-		if tile.C != c || tile.H != rc.Rows.Len() || tile.W != rc.Cols.Len() {
-			return QTensor{}, fmt.Errorf("tensor: tile %d extent %dx%dx%d mismatches rect %v", i, tile.C, tile.H, tile.W, rc)
-		}
-		if math.Float32bits(tile.Scale) != math.Float32bits(scale) {
-			return QTensor{}, fmt.Errorf("tensor: tile %d scale %g mismatches %g", i, tile.Scale, scale)
-		}
-		if rc.Rows.Lo < 0 || rc.Rows.Hi > h || rc.Cols.Lo < 0 || rc.Cols.Hi > w {
-			return QTensor{}, fmt.Errorf("tensor: tile %d rect %v outside %dx%d", i, rc, h, w)
-		}
-		for r := rc.Rows.Lo; r < rc.Rows.Hi; r++ {
-			for col := rc.Cols.Lo; col < rc.Cols.Hi; col++ {
-				if covered[r*w+col] {
-					return QTensor{}, fmt.Errorf("tensor: cell (%d,%d) covered twice", r, col)
-				}
-				covered[r*w+col] = true
-			}
-		}
-		for ch := 0; ch < c; ch++ {
-			for r := 0; r < tile.H; r++ {
-				src := tile.Data[(ch*tile.H+r)*tile.W : (ch*tile.H+r+1)*tile.W]
-				dstRow := rc.Rows.Lo + r
-				dst := out.Data[(ch*h+dstRow)*w+rc.Cols.Lo : (ch*h+dstRow)*w+rc.Cols.Hi]
-				copy(dst, src)
-			}
-		}
-	}
-	for i, ok := range covered {
-		if !ok {
-			return QTensor{}, fmt.Errorf("tensor: cell (%d,%d) uncovered", i/w, i%w)
-		}
-	}
-	return out, nil
 }

@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"strconv"
 
 	"pico/internal/nn"
 	"pico/internal/partition"
@@ -29,11 +28,21 @@ func convForwardRect(in Tensor, inRowLo, inColLo, inHGlobal, inWGlobal int, l *n
 	return convForwardRectRef(in, inRowLo, inColLo, inHGlobal, inWGlobal, l, wts, out, par)
 }
 
-// convForwardRectBlocked is the register-tiled rect conv: one work unit per
-// (oc-block, output row), exactly like convForwardBlocked, with the packed
-// row primitive receiving the tile's global column geometry. Per output
-// element the accumulation order (bias, then g, kh, kw ascending) is the
-// per-channel sweep's order, so blocked rect tiles stitch byte-identically.
+// convForwardRectBlocked is the general register-tiled conv, for rect
+// tiles and (run at full width) for strips: each work unit is one output
+// row of one oc-block, so every sweep over an input row feeds up to
+// ocBlockWidth accumulator rows at once and input bandwidth drops by the
+// block width. Work units are (block, row) pairs — a parallelFor chunk can
+// never split a register block across workers — and the packed row
+// primitive receives the tile's global column geometry.
+//
+// Per output element the accumulation order (bias, then g, kh, kw
+// ascending) is the per-channel sweep's order: channels have independent
+// accumulator chains, so interleaving the taps of four channels over the
+// same input row reorders nothing within any one chain. The packed tap
+// layout is only used for dense full-width blocks (see ocBlock.packed);
+// ragged or sparse blocks fall back to the per-channel compacted rows,
+// which preserves the zero-tap skip order exactly.
 func convForwardRectBlocked(in Tensor, inRowLo, inColLo, inHGlobal, inWGlobal int, l *nn.Layer, wts *convWeights, out partition.Rect, par int) Tensor {
 	outRows := out.Rows.Len()
 	outCols := out.Cols.Len()
@@ -240,202 +249,4 @@ func poolForwardRect(in Tensor, inRowLo, inColLo, inHGlobal, inWGlobal int, l *n
 		}
 	})
 	return res
-}
-
-// RunSegmentRect executes layers [from, to) producing the output rectangle
-// out of the segment's final layer. tile must hold exactly the input region
-// the segment needs (SegmentRects(from, to, out)[0] of the partition Calc).
-// FullyConnected / GlobalAvgPool layers are not grid-partitionable and are
-// rejected inside rect segments unless the tile is the whole map. The
-// returned tensor is arena-backed; callers done with it may Recycle it.
-func (e *Executor) RunSegmentRect(from, to int, tile Tensor, out partition.Rect) (Tensor, error) {
-	if from < 0 || to > e.m.NumLayers() || from >= to {
-		return Tensor{}, fmt.Errorf("tensor: invalid segment [%d,%d)", from, to)
-	}
-	if out.Empty() {
-		return Tensor{}, fmt.Errorf("tensor: empty output rect %v", out)
-	}
-	shapes := e.m.Shapes()
-	rects := e.calc.SegmentRects(from, to, out)
-	inShape := shapes[from]
-	need := rects[0]
-	if !tile.Valid() || tile.C != inShape.C || tile.H != need.Rows.Len() || tile.W != need.Cols.Len() {
-		return Tensor{}, fmt.Errorf("tensor: tile %dx%dx%d does not match required region %v of %v",
-			tile.C, tile.H, tile.W, need, inShape)
-	}
-	cur := tile
-	curRowLo, curColLo := need.Rows.Lo, need.Cols.Lo
-	for i := from; i < to; i++ {
-		next, err := e.runLayerRect(i, cur, curRowLo, curColLo, rects[i-from+1])
-		if err != nil {
-			return Tensor{}, fmt.Errorf("tensor: layer %d (%s): %w", i, e.m.Layers[i].Name, err)
-		}
-		if i > from {
-			Recycle(cur)
-		}
-		cur = next
-		curRowLo, curColLo = rects[i-from+1].Rows.Lo, rects[i-from+1].Cols.Lo
-	}
-	return cur, nil
-}
-
-func (e *Executor) runLayerRect(i int, in Tensor, inRowLo, inColLo int, out partition.Rect) (Tensor, error) {
-	l := &e.m.Layers[i]
-	return e.runLayerRectOn(l, strconv.Itoa(i), in, inRowLo, inColLo, e.m.InShape(i), out)
-}
-
-func (e *Executor) runLayerRectOn(l *nn.Layer, key string, in Tensor, inRowLo, inColLo int, inShape nn.Shape, out partition.Rect) (Tensor, error) {
-	switch l.Kind {
-	case nn.Conv:
-		wts := e.convW(key, l, inShape.C)
-		return convForwardRect(in, inRowLo, inColLo, inShape.H, inShape.W, l, wts, out, e.par), nil
-	case nn.MaxPool, nn.AvgPool:
-		return poolForwardRect(in, inRowLo, inColLo, inShape.H, inShape.W, l, out, e.par), nil
-	case nn.FullyConnected, nn.GlobalAvgPool:
-		if inRowLo != 0 || inColLo != 0 || in.H != inShape.H || in.W != inShape.W {
-			return Tensor{}, fmt.Errorf("%v needs the full input map in a rect segment", l.Kind)
-		}
-		return e.runLayerOn(l, key, in, 0, inShape, partition.Range{Lo: out.Rows.Lo, Hi: out.Rows.Hi})
-	case nn.Block:
-		return e.runBlockRect(l, key, in, inRowLo, inColLo, inShape, out)
-	default:
-		return Tensor{}, fmt.Errorf("unsupported layer kind %v", l.Kind)
-	}
-}
-
-// runBlockRect mirrors runBlock for rectangular tiles, including the
-// recycling of path intermediates and the explicit concat allocation.
-func (e *Executor) runBlockRect(l *nn.Layer, key string, in Tensor, inRowLo, inColLo int, inShape nn.Shape, out partition.Rect) (Tensor, error) {
-	var combined Tensor
-	for pi, path := range l.Paths {
-		var pOut Tensor
-		if len(path) == 0 {
-			rLo := out.Rows.Lo - inRowLo
-			rHi := out.Rows.Hi - inRowLo
-			cLo := out.Cols.Lo - inColLo
-			cHi := out.Cols.Hi - inColLo
-			if rLo < 0 || rHi > in.H || cLo < 0 || cHi > in.W {
-				return Tensor{}, fmt.Errorf("identity path needs %v outside tile", out)
-			}
-			pOut = sliceRect(in, rLo, rHi, cLo, cHi)
-		} else {
-			needs := e.calc.PathRects(path, out, inShape)
-			rLo := needs[0].Rows.Lo - inRowLo
-			rHi := needs[0].Rows.Hi - inRowLo
-			cLo := needs[0].Cols.Lo - inColLo
-			cHi := needs[0].Cols.Hi - inColLo
-			if rLo < 0 || rHi > in.H || cLo < 0 || cHi > in.W {
-				return Tensor{}, fmt.Errorf("path %d needs %v outside tile", pi, needs[0])
-			}
-			cur := sliceRect(in, rLo, rHi, cLo, cHi)
-			curRowLo, curColLo := needs[0].Rows.Lo, needs[0].Cols.Lo
-			curShape := inShape
-			for li := range path {
-				nextShape, err := path[li].OutShape(curShape)
-				if err != nil {
-					return Tensor{}, err
-				}
-				pk := key + "/" + strconv.Itoa(pi) + "/" + strconv.Itoa(li)
-				next, err := e.runLayerRectOn(&path[li], pk, cur, curRowLo, curColLo, curShape, needs[li+1])
-				if err != nil {
-					return Tensor{}, fmt.Errorf("path %d layer %d (%s): %w", pi, li, path[li].Name, err)
-				}
-				Recycle(cur)
-				cur = next
-				curRowLo, curColLo = needs[li+1].Rows.Lo, needs[li+1].Cols.Lo
-				curShape = nextShape
-			}
-			pOut = cur
-		}
-		if pi == 0 {
-			combined = pOut
-			continue
-		}
-		switch l.Combine {
-		case nn.Add:
-			if pOut.C != combined.C || pOut.H != combined.H || pOut.W != combined.W {
-				return Tensor{}, fmt.Errorf("add path %d extent mismatch", pi)
-			}
-			for j := range combined.Data {
-				combined.Data[j] += pOut.Data[j]
-			}
-			Recycle(pOut)
-		case nn.Concat:
-			if pOut.H != combined.H || pOut.W != combined.W {
-				return Tensor{}, fmt.Errorf("concat path %d spatial mismatch", pi)
-			}
-			combined = concatChannels(combined, pOut)
-		default:
-			return Tensor{}, fmt.Errorf("invalid combine %v", l.Combine)
-		}
-	}
-	applyActivation(combined.Data, l.Act)
-	return combined, nil
-}
-
-// sliceRect copies a rectangular sub-region of every channel into an
-// arena-backed tensor.
-func sliceRect(t Tensor, rLo, rHi, cLo, cHi int) Tensor {
-	if rLo < 0 || rHi > t.H || cLo < 0 || cHi > t.W || rLo >= rHi || cLo >= cHi {
-		panic(fmt.Sprintf("tensor: sliceRect [%d,%d)x[%d,%d) of %dx%d", rLo, rHi, cLo, cHi, t.H, t.W))
-	}
-	out := Alloc(t.C, rHi-rLo, cHi-cLo)
-	for c := 0; c < t.C; c++ {
-		for r := rLo; r < rHi; r++ {
-			src := t.Data[(c*t.H+r)*t.W+cLo : (c*t.H+r)*t.W+cHi]
-			dst := out.Data[(c*out.H+(r-rLo))*out.W : (c*out.H+(r-rLo)+1)*out.W]
-			copy(dst, src)
-		}
-	}
-	return out
-}
-
-// SliceRect copies the rectangular sub-region rect (clamped coordinates
-// required) of every channel — what a grid leader sends each worker.
-func (t *Tensor) SliceRect(rect partition.Rect) Tensor {
-	return sliceRect(*t, rect.Rows.Lo, rect.Rows.Hi, rect.Cols.Lo, rect.Cols.Hi)
-}
-
-// StitchGrid reassembles a full h x w feature map from disjoint rectangular
-// tiles; tiles[i] covers rects[i]. Every cell must be covered exactly once.
-func StitchGrid(tiles []Tensor, rects []partition.Rect, h, w int) (Tensor, error) {
-	if len(tiles) == 0 || len(tiles) != len(rects) {
-		return Tensor{}, fmt.Errorf("tensor: %d tiles with %d rects", len(tiles), len(rects))
-	}
-	c := tiles[0].C
-	// Arena-backed: on success every cell is covered exactly once, so all
-	// elements are written before the tensor is returned.
-	out := Alloc(c, h, w)
-	covered := make([]bool, h*w)
-	for i, tile := range tiles {
-		rc := rects[i]
-		if tile.C != c || tile.H != rc.Rows.Len() || tile.W != rc.Cols.Len() {
-			return Tensor{}, fmt.Errorf("tensor: tile %d extent %dx%dx%d mismatches rect %v", i, tile.C, tile.H, tile.W, rc)
-		}
-		if rc.Rows.Lo < 0 || rc.Rows.Hi > h || rc.Cols.Lo < 0 || rc.Cols.Hi > w {
-			return Tensor{}, fmt.Errorf("tensor: tile %d rect %v outside %dx%d", i, rc, h, w)
-		}
-		for r := rc.Rows.Lo; r < rc.Rows.Hi; r++ {
-			for col := rc.Cols.Lo; col < rc.Cols.Hi; col++ {
-				if covered[r*w+col] {
-					return Tensor{}, fmt.Errorf("tensor: cell (%d,%d) covered twice", r, col)
-				}
-				covered[r*w+col] = true
-			}
-		}
-		for ch := 0; ch < c; ch++ {
-			for r := 0; r < tile.H; r++ {
-				src := tile.Data[(ch*tile.H+r)*tile.W : (ch*tile.H+r+1)*tile.W]
-				dstRow := rc.Rows.Lo + r
-				dst := out.Data[(ch*h+dstRow)*w+rc.Cols.Lo : (ch*h+dstRow)*w+rc.Cols.Hi]
-				copy(dst, src)
-			}
-		}
-	}
-	for i, ok := range covered {
-		if !ok {
-			return Tensor{}, fmt.Errorf("tensor: cell (%d,%d) uncovered", i/w, i%w)
-		}
-	}
-	return out, nil
 }

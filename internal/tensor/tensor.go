@@ -14,6 +14,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+
+	"pico/internal/partition"
 )
 
 // Tensor is a CHW float32 feature map. Data is indexed (c*H + h)*W + w.
@@ -60,15 +62,16 @@ func (t *Tensor) Clone() Tensor {
 // SliceRows copies rows [lo, hi) of every channel into a new tensor. The
 // copy is arena-backed; callers that drop it on the hot path may Recycle it.
 func (t *Tensor) SliceRows(lo, hi int) Tensor {
-	if lo < 0 || hi > t.H || lo >= hi {
-		panic(fmt.Sprintf("tensor: SliceRows[%d,%d) of height %d", lo, hi, t.H))
-	}
-	out := Alloc(t.C, hi-lo, t.W)
-	for c := 0; c < t.C; c++ {
-		src := t.Data[(c*t.H+lo)*t.W : (c*t.H+hi)*t.W]
-		dst := out.Data[c*out.H*out.W : (c+1)*out.H*out.W]
-		copy(dst, src)
-	}
+	return t.SliceRect(partition.Rect{Rows: partition.Range{Lo: lo, Hi: hi}, Cols: partition.Full(t.W)})
+}
+
+// SliceRect copies the region rect (clamped coordinates required) of every
+// channel into an arena-backed tensor — what a grid leader sends each
+// worker.
+func (t *Tensor) SliceRect(rect partition.Rect) Tensor {
+	checkRegion(rect, t.H, t.W)
+	out := Alloc(t.C, rect.Rows.Len(), rect.Cols.Len())
+	sliceRegion(out.Data, t.Data, t.C, t.H, t.W, rect)
 	return out
 }
 
@@ -79,37 +82,100 @@ func StitchRows(strips []Tensor, los []int, h int) (Tensor, error) {
 	if len(strips) == 0 || len(strips) != len(los) {
 		return Tensor{}, fmt.Errorf("tensor: %d strips with %d offsets", len(strips), len(los))
 	}
-	c, w := strips[0].C, strips[0].W
-	// Arena-backed: on success every row is covered exactly once, so all
-	// elements are written before the tensor is returned.
-	out := Alloc(c, h, w)
-	covered := make([]bool, h)
+	rects := make([]partition.Rect, len(strips))
 	for i, s := range strips {
-		if s.C != c || s.W != w {
-			return Tensor{}, fmt.Errorf("tensor: strip %d extent %dx%dx%d mismatches %dx?x%d", i, s.C, s.H, s.W, c, w)
-		}
-		lo := los[i]
-		if lo < 0 || lo+s.H > h {
-			return Tensor{}, fmt.Errorf("tensor: strip %d rows [%d,%d) outside [0,%d)", i, lo, lo+s.H, h)
-		}
-		for r := 0; r < s.H; r++ {
-			if covered[lo+r] {
-				return Tensor{}, fmt.Errorf("tensor: row %d covered twice", lo+r)
-			}
-			covered[lo+r] = true
-		}
-		for ch := 0; ch < c; ch++ {
-			src := s.Data[ch*s.H*s.W : (ch*s.H+s.H)*s.W]
-			dst := out.Data[(ch*h+lo)*w : (ch*h+lo+s.H)*w]
-			copy(dst, src)
-		}
+		rects[i] = stripRect(los[i], s.H, strips[0].W)
 	}
-	for r, ok := range covered {
-		if !ok {
-			return Tensor{}, fmt.Errorf("tensor: row %d uncovered", r)
-		}
+	return StitchGrid(strips, rects, h, strips[0].W)
+}
+
+// StitchGrid reassembles a full h x w feature map from disjoint rectangular
+// tiles; tiles[i] covers rects[i]. Every cell must be covered exactly once.
+func StitchGrid(tiles []Tensor, rects []partition.Rect, h, w int) (Tensor, error) {
+	if len(tiles) == 0 || len(tiles) != len(rects) {
+		return Tensor{}, fmt.Errorf("tensor: %d tiles with %d rects", len(tiles), len(rects))
+	}
+	planes := make([]plane[float32], len(tiles))
+	for i, t := range tiles {
+		planes[i] = plane[float32]{t.C, t.H, t.W, t.Data}
+	}
+	// Arena-backed: on success every cell is covered exactly once, so all
+	// elements are written before the tensor is returned.
+	out := Alloc(tiles[0].C, h, w)
+	if err := stitchRegions(out.Data, out.C, h, w, planes, rects); err != nil {
+		Recycle(out)
+		return Tensor{}, err
 	}
 	return out, nil
+}
+
+// stripRect is the region of a full-width strip of h rows starting at lo.
+func stripRect(lo, h, w int) partition.Rect {
+	return partition.Rect{Rows: partition.Range{Lo: lo, Hi: lo + h}, Cols: partition.Full(w)}
+}
+
+// checkRegion panics unless rect is a non-empty region of an h x w map.
+func checkRegion(rect partition.Rect, h, w int) {
+	if rect.Rows.Lo < 0 || rect.Rows.Hi > h || rect.Cols.Lo < 0 || rect.Cols.Hi > w || rect.Empty() {
+		panic(fmt.Sprintf("tensor: region %v of %dx%d", rect, h, w))
+	}
+}
+
+// plane is the extent-and-data view Tensor and QTensor share, so one
+// slice and one stitch implementation serve both element types.
+type plane[E float32 | int8] struct {
+	c, h, w int
+	data    []E
+}
+
+// sliceRegion copies region rect of every channel of the c x h x w map src
+// into dst, laid out c x rect.Rows.Len() x rect.Cols.Len().
+func sliceRegion[E float32 | int8](dst, src []E, c, h, w int, rect partition.Rect) {
+	rows, cols := rect.Rows.Len(), rect.Cols.Len()
+	for ch := 0; ch < c; ch++ {
+		if cols == w {
+			// Full-width rows are one contiguous run per channel.
+			copy(dst[ch*rows*w:(ch+1)*rows*w], src[(ch*h+rect.Rows.Lo)*w:(ch*h+rect.Rows.Hi)*w])
+			continue
+		}
+		for y := 0; y < rows; y++ {
+			copy(dst[(ch*rows+y)*cols:(ch*rows+y+1)*cols], src[(ch*h+rect.Rows.Lo+y)*w+rect.Cols.Lo:][:cols])
+		}
+	}
+}
+
+// stitchRegions copies tiles[i], which covers rects[i], into the c x h x w
+// map dst, checking that every cell is covered exactly once.
+func stitchRegions[E float32 | int8](dst []E, c, h, w int, tiles []plane[E], rects []partition.Rect) error {
+	covered := make([]bool, h*w)
+	for i, t := range tiles {
+		rc := rects[i]
+		if t.c != c || t.h != rc.Rows.Len() || t.w != rc.Cols.Len() {
+			return fmt.Errorf("tensor: tile %d extent %dx%dx%d mismatches rect %v", i, t.c, t.h, t.w, rc)
+		}
+		if rc.Rows.Lo < 0 || rc.Rows.Hi > h || rc.Cols.Lo < 0 || rc.Cols.Hi > w {
+			return fmt.Errorf("tensor: tile %d rect %v outside %dx%d", i, rc, h, w)
+		}
+		for r := rc.Rows.Lo; r < rc.Rows.Hi; r++ {
+			for col := rc.Cols.Lo; col < rc.Cols.Hi; col++ {
+				if covered[r*w+col] {
+					return fmt.Errorf("tensor: cell (%d,%d) covered twice", r, col)
+				}
+				covered[r*w+col] = true
+			}
+		}
+		for ch := 0; ch < c; ch++ {
+			for y := 0; y < t.h; y++ {
+				copy(dst[(ch*h+rc.Rows.Lo+y)*w+rc.Cols.Lo:][:t.w], t.data[(ch*t.h+y)*t.w:][:t.w])
+			}
+		}
+	}
+	for i, ok := range covered {
+		if !ok {
+			return fmt.Errorf("tensor: cell (%d,%d) uncovered", i/w, i%w)
+		}
+	}
+	return nil
 }
 
 // Equal reports exact bitwise equality of extent and data.
